@@ -38,7 +38,7 @@
 use crate::json::{json_string, JsonValue};
 use rnuca_sim::{
     group_indices, AsrPolicy, ExperimentConfig, ExperimentEngine, FusedDriver, FusedGroupKey,
-    LlcDesign, MeasuredRun, SnapshotArena, SnapshotKey,
+    GroupForks, LlcDesign, MeasuredRun, SnapshotArena, SnapshotKey,
 };
 use rnuca_types::config::ConfigPoint;
 use rnuca_workloads::{TraceArena, TraceKey, WorkloadSpec};
@@ -445,10 +445,13 @@ pub fn run_perf_scenarios_in(
 /// pre-materialized arena stream (construction, trace generation and
 /// checkpoint warming excluded — the loop is the hot path the regression
 /// gate guards). Returns each member's measured run paired with its fork
-/// time, in `indices` order, plus the group's shared-pass time. The fork
-/// phase is dominated by snapshot decoding, the measured phase by the
-/// replay-cursor seek and steady-state stepping of every member; recording
-/// both makes phase-specific regressions visible instead of averaged away.
+/// time, in `indices` order, plus the group's shared-pass time. A fork takes
+/// the member's checkpoint out of the arena and clones it, or moves it when
+/// the member is its class's last (see [`GroupForks`]), so with one member
+/// per warm-up class the fork phase is close to free; the measured phase is
+/// the replay-cursor seek and steady-state stepping of every member.
+/// Recording both makes phase-specific regressions visible instead of
+/// averaged away.
 fn time_group(
     indices: &[usize],
     scenarios: &[PerfScenario],
@@ -456,20 +459,16 @@ fn time_group(
     arena: &TraceArena,
     snapshots: &SnapshotArena,
 ) -> (Vec<(MeasuredRun, u64)>, u64) {
+    let members: Vec<(&WorkloadSpec, LlcDesign)> = indices
+        .iter()
+        .map(|&i| (&scenarios[i].workload, scenarios[i].design))
+        .collect();
+    let mut forks = GroupForks::new(&members, cfg, arena, snapshots);
     let mut sims = Vec::with_capacity(indices.len());
     let mut fork_times = Vec::with_capacity(indices.len());
-    for &i in indices {
-        let s = &scenarios[i];
-        let snap = snapshots.snapshot(
-            arena,
-            s.design,
-            &s.workload,
-            cfg.seed,
-            cfg.warmup_refs,
-            cfg.total_refs(),
-        );
+    for (spec, design) in &members {
         let t = Instant::now();
-        sims.push(snap.fork(s.design, &s.workload));
+        sims.push(forks.fork(spec, *design));
         fork_times.push(saturating_nanos(t.elapsed().as_nanos()));
     }
     let first = &scenarios[indices[0]];

@@ -11,7 +11,6 @@
 use crate::stats::CacheStats;
 use rnuca_types::addr::BlockAddr;
 use rnuca_types::config::CacheGeometry;
-use rnuca_types::{Snap, SnapReader};
 
 /// Recency rank marking an unoccupied way. Valid ways always hold a rank
 /// below their set's associativity, so this value never collides.
@@ -63,7 +62,7 @@ pub enum ProbeEntry {
 /// All operations are O(associativity) over contiguous memory; the array
 /// never allocates after construction. Residency is tracked by a maintained
 /// counter, so [`CacheArray::len`] is O(1).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct CacheArray<T> {
     geometry: CacheGeometry,
     num_sets: usize,
@@ -105,14 +104,12 @@ impl<T> CacheArray<T> {
             slots * std::mem::size_of::<Option<T>>(),
         );
         meta.resize_with(slots, || None);
-        let tags = vec![0u64; slots];
-        rnuca_types::os_hint::advise_huge_pages_slice(&tags);
         CacheArray {
             geometry,
             num_sets,
             ways,
-            tags,
-            ages: vec![AGE_INVALID; slots],
+            tags: rnuca_types::os_hint::filled_hinted(slots, 0u64),
+            ages: rnuca_types::os_hint::filled_hinted(slots, AGE_INVALID),
             meta,
             occupied: vec![0; num_sets],
             resident: 0,
@@ -427,6 +424,15 @@ impl<T> CacheArray<T> {
             })
     }
 
+    /// Heap bytes of the array's slabs (tags, LRU ranks, metadata and
+    /// occupancy masks).
+    pub fn slab_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.tags[..])
+            + std::mem::size_of_val(&self.ages[..])
+            + std::mem::size_of_val(&self.meta[..])
+            + std::mem::size_of_val(&self.occupied[..])
+    }
+
     /// Removes every block from the array.
     pub fn clear(&mut self) {
         for m in &mut self.meta {
@@ -442,38 +448,22 @@ impl<T> CacheArray<T> {
     }
 }
 
-impl<T: Snap> Snap for CacheArray<T> {
-    /// Verbatim slab capture: tags, LRU ranks, metadata, and occupancy masks
-    /// are encoded exactly as laid out, so a decoded array probes, promotes,
-    /// and evicts identically to the original — not just as a set of blocks.
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.geometry.encode(out);
-        self.tags.encode(out);
-        self.ages.encode(out);
-        self.meta.encode(out);
-        self.occupied.encode(out);
-        self.resident.encode(out);
-        self.stats.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        let geometry = CacheGeometry::decode(r);
-        // The large slabs get the same huge-page first-touch hint
-        // `CacheArray::new` gives them, so a forked simulator probes at the
-        // same dTLB cost as a warmed one.
-        let tags = rnuca_types::snap::decode_vec_hinted(r);
-        let ages = rnuca_types::snap::decode_vec_hinted(r);
-        let meta = rnuca_types::snap::decode_vec_hinted(r);
+impl<T: Clone> Clone for CacheArray<T> {
+    /// Copies the slabs verbatim — tags, LRU ranks, metadata and occupancy
+    /// masks — so the clone probes, promotes and evicts exactly as the
+    /// original would. The large slabs get the huge-page hint
+    /// [`CacheArray::new`] gives them before the copy touches them.
+    fn clone(&self) -> Self {
         CacheArray {
-            geometry,
-            num_sets: geometry.num_sets(),
-            ways: geometry.ways,
-            tags,
-            ages,
-            meta,
-            occupied: r.get(),
-            resident: r.get(),
-            stats: r.get(),
+            geometry: self.geometry,
+            num_sets: self.num_sets,
+            ways: self.ways,
+            tags: rnuca_types::os_hint::clone_hinted(&self.tags),
+            ages: rnuca_types::os_hint::clone_hinted(&self.ages),
+            meta: rnuca_types::os_hint::clone_hinted(&self.meta),
+            occupied: self.occupied.clone(),
+            resident: self.resident,
+            stats: self.stats,
         }
     }
 }
@@ -684,5 +674,28 @@ mod tests {
         // And the next victim is 4.
         let ev = c.insert(b(24), 24).expect("full set");
         assert_eq!(ev.block, b(4));
+    }
+
+    #[test]
+    fn clone_of_a_partly_filled_array_is_identical() {
+        // 64 sets x 16 ways; a third of the sets touched, with
+        // invalidations leaving holes and stale tags behind.
+        let mut c: CacheArray<u32> =
+            CacheArray::new(CacheGeometry::new(64 * 1024, 16, 64).unwrap());
+        for n in 0..700u64 {
+            c.insert(b(n * 3), n as u32);
+        }
+        for n in (0..700u64).step_by(7) {
+            c.invalidate(b(n * 3));
+        }
+        c.probe(b(42));
+        let mut copy = c.clone();
+        assert_eq!(copy, c);
+        assert_eq!(copy.len(), c.len());
+        // The copy carries the LRU state too: both evict the same victims.
+        for n in 10_000..10_200u64 {
+            assert_eq!(copy.insert(b(n), 0), c.insert(b(n), 0));
+        }
+        assert_eq!(copy, c);
     }
 }

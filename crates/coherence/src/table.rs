@@ -28,7 +28,6 @@
 
 use rnuca_types::ids::TileId;
 use rnuca_types::os_hint;
-use rnuca_types::{Snap, SnapReader};
 
 /// Sentinel key marking an empty slot. Real keys are block numbers, bounded
 /// well below this by the simulated physical address width.
@@ -51,7 +50,7 @@ const OD_OWNER_MASK: u16 = 0x3F;
 pub(crate) type SlotIdx = usize;
 
 /// The structure-of-arrays entry store.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct EntryTable {
     keys: Vec<u64>,
     sharers: Vec<u64>,
@@ -67,9 +66,9 @@ impl EntryTable {
     }
 
     fn with_slots(slots: usize) -> Self {
-        let keys = alloc_hinted(slots, EMPTY_KEY);
-        let sharers = alloc_hinted(slots, 0u64);
-        let owner_dirty = alloc_hinted(slots, 0u16);
+        let keys = os_hint::filled_hinted(slots, EMPTY_KEY);
+        let sharers = os_hint::filled_hinted(slots, 0u64);
+        let owner_dirty = os_hint::filled_hinted(slots, 0u16);
         EntryTable {
             keys,
             sharers,
@@ -81,6 +80,13 @@ impl EntryTable {
     /// Number of entries stored.
     pub(crate) fn len(&self) -> usize {
         self.len
+    }
+
+    /// Heap bytes of the three slot arrays.
+    pub(crate) fn slab_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.keys[..])
+            + std::mem::size_of_val(&self.sharers[..])
+            + std::mem::size_of_val(&self.owner_dirty[..])
     }
 
     fn mask(&self) -> usize {
@@ -236,37 +242,19 @@ impl EntryTable {
     }
 }
 
-impl Snap for EntryTable {
-    /// Encodes the three parallel slot arrays position-for-position, probe
-    /// chains included, so the decoded table is the bit-identical layout —
-    /// probes, growth timing, and backward shifts all continue unchanged.
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.keys.encode(out);
-        self.sharers.encode(out);
-        self.owner_dirty.encode(out);
-        self.len.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        let keys = rnuca_types::snap::decode_vec_hinted(r);
-        let sharers = rnuca_types::snap::decode_vec_hinted(r);
-        let owner_dirty = rnuca_types::snap::decode_vec_hinted(r);
+impl Clone for EntryTable {
+    /// Copies the three slot arrays position for position, probe chains
+    /// included, so the clone probes, grows and backward-shifts exactly as
+    /// the original would; each array gets the huge-page hint a new table's
+    /// arrays get before the copy touches it.
+    fn clone(&self) -> Self {
         EntryTable {
-            keys,
-            sharers,
-            owner_dirty,
-            len: r.get(),
+            keys: os_hint::clone_hinted(&self.keys),
+            sharers: os_hint::clone_hinted(&self.sharers),
+            owner_dirty: os_hint::clone_hinted(&self.owner_dirty),
+            len: self.len,
         }
     }
-}
-
-/// Allocates a slot array filled with `fill`, hinting huge-page backing for
-/// the large tables (see [`os_hint::advise_huge_pages`]).
-fn alloc_hinted<T: Copy>(slots: usize, fill: T) -> Vec<T> {
-    let mut v: Vec<T> = Vec::with_capacity(slots);
-    os_hint::advise_huge_pages(v.as_ptr(), slots * std::mem::size_of::<T>());
-    v.resize(slots, fill);
-    v
 }
 
 #[cfg(test)]
@@ -331,6 +319,28 @@ mod tests {
             let slot = t.find(k * 977).expect("key survived growth");
             assert_eq!(t.sharer_bits(slot), k);
         }
+    }
+
+    #[test]
+    fn clone_of_a_partly_filled_table_is_identical() {
+        let mut t = EntryTable::with_capacity(1_024);
+        for k in 0..600u64 {
+            let (slot, _) = t.get_or_insert(k * 31);
+            t.set_sharer_bits(slot, k);
+            t.set_owner(slot, Some(TileId::new((k % 64) as usize)));
+            t.set_dirty(slot, k % 2 == 0);
+        }
+        // Removals leave backward-shifted probe chains behind.
+        for k in (0..600u64).step_by(5) {
+            t.remove_at(t.find(k * 31).expect("inserted above"));
+        }
+        let mut copy = t.clone();
+        assert_eq!(copy, t);
+        // Same layout, so the same operations land in the same slots.
+        for k in 1_000..1_100u64 {
+            assert_eq!(copy.get_or_insert(k), t.get_or_insert(k));
+        }
+        assert_eq!(copy, t);
     }
 
     /// Randomized differential test against a `HashMap` reference: the same

@@ -197,7 +197,7 @@ impl Runner {
             if claim.stop.load(Ordering::SeqCst) {
                 return Ok(Outcome::Stopped);
             }
-            matrix.prepare_arenas(engine, arena, snapshots, &jobs, &pending);
+            matrix.prepare_streams(engine, arena, &jobs, &pending);
             let groups = group_indices(&pending, |&i| TraceKey::new(&jobs[i].workload, cfg.seed));
             let total_groups = groups.len();
             let mut done_groups = 0;

@@ -21,12 +21,13 @@
 //!
 //! Warm-up is deduplicated the same way through a
 //! [`SnapshotArena`]: each unique warmed state — one per
-//! `(workload, warm-up class, seed, warm-up length)` — is built once and
-//! serialized, and every job *forks* from the checkpoint instead of
-//! re-driving the warm-up prefix. Forks are bit-identical to streamed
-//! warm-up (the differential suite pins this), so snapshots, like the trace
-//! arena, change wall-clock time only. The big winner is ASR best-of-six:
-//! all six variants fork from one checkpoint, so the sweep warms once.
+//! `(workload, warm-up class, seed, warm-up length)` — is warmed once, and
+//! every job *forks* from the checkpoint (a clone of the warmed simulator)
+//! instead of re-driving the warm-up prefix. Forks are bit-identical to
+//! streamed warm-up (the differential suite pins this), so checkpoints,
+//! like the trace arena, change wall-clock time only. The big winner is ASR
+//! best-of-six: all six variants fork from one checkpoint, so the sweep
+//! warms once.
 //!
 //! Measurement itself is *fused* (see [`crate::fused`]): the designs
 //! comparing one workload form a single fused group that steps every design
@@ -245,7 +246,7 @@ impl DesignComparison {
     /// [`Self::run_single_with_arena`] forking the warmed state from
     /// `snapshots` instead of re-driving the warm-up prefix: the checkpoint
     /// is built on first request (and shared by every design in its warm-up
-    /// class), the fork restores it bit-for-bit, and the measured phase
+    /// class), the fork clones it bit-for-bit, and the measured phase
     /// replays the arena stream from directly after the warm-up prefix. The
     /// result is bit-identical to the warm-then-measure paths.
     pub fn run_single_forked(
@@ -795,16 +796,18 @@ mod tests {
             &snapshots,
         );
         assert_eq!(best.design.letter(), "A");
-        assert_eq!(snapshots.len(), 1, "six variants, one warm-up class");
+        assert_eq!(snapshots.warmups(), 1, "six variants, one warm-up class");
         assert_eq!(snapshots.generations(), 1, "the warm-up ran exactly once");
+        assert!(snapshots.is_empty(), "the last variant took the checkpoint");
         assert_eq!(traces.generations(), 1, "the stream was generated once");
     }
 
     #[test]
     fn full_evaluation_warms_one_checkpoint_per_class() {
-        // After a full evaluation (ASR best-of-six included), the snapshot
-        // arena holds exactly one checkpoint per (workload, warm-up class):
-        // five per workload, the ~10 design jobs notwithstanding.
+        // A full evaluation (ASR best-of-six included) warms exactly one
+        // checkpoint per (workload, warm-up class) — five per workload, the
+        // ~10 design jobs notwithstanding — and its fused groups take them
+        // all, so the arena ends empty.
         let mut cfg = ExperimentConfig::smoke();
         cfg.asr_best_of = true;
         let traces = TraceArena::new();
@@ -816,8 +819,13 @@ mod tests {
             &snapshots,
         );
         assert_eq!(comparison.workloads.len(), 8);
-        assert_eq!(snapshots.len(), 8 * 5, "five warm-up classes per workload");
-        assert_eq!(snapshots.generations(), snapshots.len());
+        assert_eq!(
+            snapshots.warmups(),
+            8 * 5,
+            "five warm-up classes per workload"
+        );
+        assert_eq!(snapshots.generations(), snapshots.warmups());
+        assert!(snapshots.is_empty(), "every group took its checkpoints");
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! access (touch poisoning, pending migrations) while the private designs
 //! never consult it, so there is no read-only window to share; each instance
 //! keeps its own. The batch buffer is caller-owned scratch that is excluded
-//! from snapshot state and simulator equality, so fusing is architecturally
+//! from warmed state and simulator equality, so fusing is architecturally
 //! invisible: each instance emits the bit-identical [`MeasuredRun`] it would
 //! emit running alone (the `fused_differential` suite pins this across all
 //! five designs, three core counts, and three seeds).
@@ -40,15 +40,21 @@
 //! same [`TraceKey`] (same workload profile, same `TraceGeometry`, same
 //! seed). Members may differ in design *and* in configuration fields the
 //! trace key deliberately ignores (slice capacity, latencies) — each member
-//! forks its own warmed checkpoint from the [`SnapshotArena`] exactly as the
-//! independent path does, so per-member warm-up state is untouched by
-//! fusion. [`group_indices`] builds groups from any job list while
-//! preserving job order for scattering results back.
+//! forks its own warmed checkpoint, so per-member warm-up state is
+//! untouched by fusion.
+//!
+//! A group owns its checkpoints ([`GroupForks`]): it warms each distinct
+//! one in place, or takes it from the [`SnapshotArena`] when a caller
+//! pre-populated it; members of one warm-up class clone the template and
+//! the last one moves it. A checkpoint's consumers all step its stream and
+//! so all sit in one group, so nothing a group warms outlives it.
+//! [`group_indices`] builds groups from any job list while preserving job
+//! order for scattering results back.
 
 use crate::design::LlcDesign;
 use crate::experiment::ExperimentConfig;
 use crate::simulator::{CmpSimulator, MeasuredRun, TRACE_BATCH};
-use crate::snapshot::SnapshotArena;
+use crate::snapshot::{SimSnapshot, SnapshotArena, SnapshotKey};
 use rnuca_types::access::MemoryAccess;
 use rnuca_workloads::{TraceArena, TraceKey, TraceSource, WorkloadSpec};
 use std::collections::HashMap;
@@ -181,15 +187,89 @@ pub fn group_indices<T, K: Eq + Hash + Clone>(
     groups
 }
 
-/// Runs one fused group from warmed checkpoints: forks every member from
-/// `snapshots`, seats one shared cursor on the group's stream directly after
-/// the warm-up prefix, and drives all members through a single measured
-/// pass. Returns each member's [`MeasuredRun`] in `members` order.
+/// The warmed checkpoints of one fused group, handed out as forks.
+///
+/// Each distinct [`SnapshotKey`] among the members is resolved exactly
+/// once, on its first fork, through [`SnapshotArena::take_or_capture`]:
+/// taken from the arena when a caller pre-populated it, otherwise warmed in
+/// place. Earlier members of a warm-up class clone the template; the last
+/// one moves it. Every consumer of a key belongs to one group (the key's
+/// spec fingerprint fixes its [`TraceKey`]), so nothing a group warms is
+/// needed after it and nothing outlives it.
+#[derive(Debug)]
+pub struct GroupForks<'a> {
+    cfg: &'a ExperimentConfig,
+    traces: &'a TraceArena,
+    snapshots: &'a SnapshotArena,
+    /// Per key: forks still to hand out, and the template once resolved.
+    keys: HashMap<SnapshotKey, (usize, Option<SimSnapshot>)>,
+}
+
+impl<'a> GroupForks<'a> {
+    /// Plans the forks of `members`; warms nothing yet.
+    pub fn new(
+        members: &[(&WorkloadSpec, LlcDesign)],
+        cfg: &'a ExperimentConfig,
+        traces: &'a TraceArena,
+        snapshots: &'a SnapshotArena,
+    ) -> Self {
+        let mut keys: HashMap<SnapshotKey, (usize, Option<SimSnapshot>)> = HashMap::new();
+        for (spec, design) in members {
+            let key = SnapshotKey::new(*design, spec, cfg.seed, cfg.warmup_refs);
+            keys.entry(key).or_insert((0, None)).0 += 1;
+        }
+        GroupForks {
+            cfg,
+            traces,
+            snapshots,
+            keys,
+        }
+    }
+
+    /// The warmed simulator of one member: a clone of its class's template,
+    /// or the template itself for the class's last member.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the member was not planned by [`GroupForks::new`] or has
+    /// already been forked as often as it was planned.
+    pub fn fork(&mut self, spec: &WorkloadSpec, design: LlcDesign) -> CmpSimulator {
+        let key = SnapshotKey::new(design, spec, self.cfg.seed, self.cfg.warmup_refs);
+        let (left, held) = self
+            .keys
+            .get_mut(&key)
+            .filter(|(left, _)| *left > 0)
+            .expect("every fork was planned for the group");
+        let snap = held.take().unwrap_or_else(|| {
+            self.snapshots.take_or_capture(
+                self.traces,
+                design,
+                spec,
+                self.cfg.seed,
+                self.cfg.warmup_refs,
+                self.cfg.total_refs(),
+            )
+        });
+        *left -= 1;
+        if *left == 0 {
+            snap.into_fork(design, spec)
+        } else {
+            let sim = snap.fork(design, spec);
+            *held = Some(snap);
+            sim
+        }
+    }
+}
+
+/// Runs one fused group from warmed checkpoints: forks every member (see
+/// [`GroupForks`]), seats one shared cursor on the group's stream directly
+/// after the warm-up prefix, and drives all members through a single
+/// measured pass. Returns each member's [`MeasuredRun`] in `members` order.
 ///
 /// Members may carry different specs as long as all resolve to one
 /// [`TraceKey`] (slice capacity and latencies are deliberately outside the
 /// key); each member forks its own spec's checkpoint, so warm-up state is
-/// exactly what the independent [`run_single_forked`] path restores.
+/// exactly what the independent [`run_single_forked`] path forks.
 ///
 /// [`run_single_forked`]: crate::experiment::DesignComparison::run_single_forked
 ///
@@ -205,6 +285,7 @@ pub fn run_group_forked(
 ) -> Vec<MeasuredRun> {
     let (first_spec, _) = members.first().expect("a fused group has members");
     let key = TraceKey::new(first_spec, cfg.seed);
+    let mut forks = GroupForks::new(members, cfg, traces, snapshots);
     let mut sims: Vec<CmpSimulator> = members
         .iter()
         .map(|(spec, design)| {
@@ -224,15 +305,7 @@ pub fn run_group_forked(
                     spec.num_cores()
                 ));
             }
-            let snap = snapshots.snapshot(
-                traces,
-                *design,
-                spec,
-                cfg.seed,
-                cfg.warmup_refs,
-                cfg.total_refs(),
-            );
-            snap.fork(*design, spec)
+            forks.fork(spec, *design)
         })
         .collect();
     let mut slice = traces.slice(first_spec, cfg.seed, cfg.total_refs());

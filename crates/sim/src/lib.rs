@@ -56,7 +56,9 @@ pub use cpi::{CpiBreakdown, CpiComponent, DetailedCpi};
 pub use design::{AsrPolicy, LlcDesign};
 pub use engine::{ExperimentEngine, FailureCause, JobFailure};
 pub use experiment::{DesignComparison, ExperimentConfig, RunResult, WorkloadResults};
-pub use fused::{group_indices, run_fused_forked, run_group_forked, FusedDriver, FusedGroupKey};
+pub use fused::{
+    group_indices, run_fused_forked, run_group_forked, FusedDriver, FusedGroupKey, GroupForks,
+};
 pub use journal::{
     JournalEntry, JournalError, JournalFailure, JournalReplay, SweepJournal, JOURNAL_VERSION,
 };

@@ -33,7 +33,7 @@ use crate::journal::{
     JournalEntry, JournalError, JournalFailure, JournalReplay, SweepJournal, JOURNAL_VERSION,
 };
 use crate::simulator::MeasuredRun;
-use crate::snapshot::{SnapshotArena, SnapshotKey};
+use crate::snapshot::SnapshotArena;
 use rnuca_types::config::ConfigPoint;
 use rnuca_types::retry::RetryPolicy;
 use rnuca_types::{ConfigError, Fnv64};
@@ -324,14 +324,15 @@ impl ScenarioMatrix {
         self.run_forked(engine, arena, &SnapshotArena::new())
     }
 
-    /// [`Self::run_with_arena`] forking every job's warmed state from an
-    /// explicit `snapshots` arena (exposed so callers can share checkpoints
-    /// across matrices and inspect deduplication).
+    /// [`Self::run_with_arena`] resolving every job's warmed state through
+    /// an explicit `snapshots` arena (exposed so callers can pre-populate
+    /// checkpoints and inspect deduplication).
     ///
     /// Jobs group onto warmed checkpoints the way they group onto streams:
     /// the matrix multiplies designs (and, for R-NUCA, cluster sizes) on
     /// top of fewer unique `(workload, config-point, warm-up class)` keys,
-    /// so those checkpoints are warmed once each — in parallel.
+    /// so those checkpoints are warmed once each, by the fused group that
+    /// consumes them (see [`crate::fused::GroupForks`]).
     ///
     /// Measurement is fused (see [`crate::fused`]): jobs sharing a
     /// reference stream form one fused group that steps every member per
@@ -563,7 +564,7 @@ impl ScenarioMatrix {
             }
         }
 
-        self.prepare_arenas(engine, arena, snapshots, &jobs, &pending);
+        self.prepare_streams(engine, arena, &jobs, &pending);
         let groups = group_indices(&pending, |&i| {
             TraceKey::new(&jobs[i].workload, self.cfg.seed)
         });
@@ -698,13 +699,7 @@ impl ScenarioMatrix {
         retries: u32,
     ) -> Result<QuarantinedSweep, ConfigError> {
         let jobs = self.jobs()?;
-        self.prepare_arenas(
-            engine,
-            arena,
-            snapshots,
-            &jobs,
-            &(0..jobs.len()).collect::<Vec<_>>(),
-        );
+        self.prepare_streams(engine, arena, &jobs, &(0..jobs.len()).collect::<Vec<_>>());
         let groups = group_indices(&jobs, |job| TraceKey::new(&job.workload, self.cfg.seed));
         let group_outcomes = engine.run_supervised(&groups, 0, |_, (_, indices)| {
             let members: Vec<(&WorkloadSpec, LlcDesign)> = indices
@@ -750,17 +745,18 @@ impl ScenarioMatrix {
         })
     }
 
-    /// Materializes the streams and warmed checkpoints the jobs in
-    /// `pending` need, each unique one exactly once, in parallel.
+    /// Materializes the reference streams the jobs in `pending` need, each
+    /// unique one exactly once, in parallel.
     ///
-    /// Public so external drivers (the experiment service's runner) can
-    /// warm the arenas up front and then orchestrate group execution
-    /// themselves.
-    pub fn prepare_arenas(
+    /// Checkpoints are not pre-warmed: each fused group warms its own (see
+    /// [`crate::fused::GroupForks`]), so a sweep holds only the warmed state
+    /// of the groups currently running. Public so external drivers (the
+    /// experiment service's runner) can materialize streams up front and
+    /// then orchestrate group execution themselves.
+    pub fn prepare_streams(
         &self,
         engine: &ExperimentEngine,
         arena: &TraceArena,
-        snapshots: &SnapshotArena,
         jobs: &[ScenarioJob],
         pending: &[usize],
     ) {
@@ -772,29 +768,6 @@ impl ScenarioMatrix {
             .collect();
         engine.run(&unique, |_, job| {
             arena.populate(&job.workload, self.cfg.seed, self.cfg.total_refs())
-        });
-        let mut seen_checkpoints = HashSet::new();
-        let unique_checkpoints: Vec<&ScenarioJob> = pending
-            .iter()
-            .map(|&i| &jobs[i])
-            .filter(|job| {
-                seen_checkpoints.insert(SnapshotKey::new(
-                    job.design,
-                    &job.workload,
-                    self.cfg.seed,
-                    self.cfg.warmup_refs,
-                ))
-            })
-            .collect();
-        engine.run(&unique_checkpoints, |_, job| {
-            snapshots.populate(
-                arena,
-                job.design,
-                &job.workload,
-                self.cfg.seed,
-                self.cfg.warmup_refs,
-                self.cfg.total_refs(),
-            )
         });
     }
 
@@ -814,7 +787,7 @@ impl ScenarioMatrix {
         let pending: Vec<usize> = (0..jobs.len())
             .filter(|&i| completed[i].is_none())
             .collect();
-        self.prepare_arenas(engine, arena, snapshots, jobs, &pending);
+        self.prepare_streams(engine, arena, jobs, &pending);
         let groups = group_indices(&pending, |&i| {
             TraceKey::new(&jobs[i].workload, self.cfg.seed)
         });
@@ -1193,9 +1166,9 @@ mod tests {
     #[test]
     fn sweep_jobs_group_onto_unique_checkpoints() {
         // Three ASR variants x two capacities = 6 jobs, but the variants
-        // share a warm-up class: the snapshot arena must end up holding one
-        // checkpoint per capacity point, each warmed once. Capacities share
-        // a stream (capacity is cost-only), so the trace arena holds one.
+        // share a warm-up class: one checkpoint per capacity point is
+        // warmed, once each, and consumed by its group. Capacities share a
+        // stream (capacity is cost-only), so the trace arena holds one.
         use crate::design::AsrPolicy;
         let mut m = tiny_matrix();
         m.designs = vec![
@@ -1217,8 +1190,75 @@ mod tests {
             .unwrap();
         assert_eq!(sweep.results.len(), 3 * 2);
         assert_eq!(traces.len(), 1, "capacity never changes the stream");
-        assert_eq!(snapshots.len(), 2, "one checkpoint per capacity point");
-        assert_eq!(snapshots.generations(), 2, "each warmed exactly once");
+        assert_eq!(snapshots.warmups(), 2, "one checkpoint per capacity point");
+        assert!(
+            snapshots.is_empty(),
+            "the groups consumed their checkpoints"
+        );
+    }
+
+    #[test]
+    fn sweeps_warm_each_checkpoint_once_and_retain_none() {
+        // The memory bound of a sweep: every checkpoint is warmed exactly
+        // once, by the group that consumes it, and none outlives its group.
+        use crate::design::AsrPolicy;
+        let mut m = tiny_matrix();
+        m.workloads = vec![WorkloadSpec::oltp_db2(), WorkloadSpec::em3d()];
+        m.designs = vec![
+            LlcDesign::Shared,
+            LlcDesign::Asr {
+                policy: AsrPolicy::Static(0.25),
+            },
+            LlcDesign::Asr {
+                policy: AsrPolicy::Adaptive,
+            },
+            LlcDesign::rnuca_default(),
+        ];
+        m.slice_capacities_kb = vec![512, 1024];
+        let jobs = m.jobs().unwrap();
+        let unique: HashSet<crate::snapshot::SnapshotKey> = jobs
+            .iter()
+            .map(|j| {
+                crate::snapshot::SnapshotKey::new(
+                    j.design,
+                    &j.workload,
+                    m.cfg.seed,
+                    m.cfg.warmup_refs,
+                )
+            })
+            .collect();
+        assert_eq!(
+            (jobs.len(), unique.len()),
+            (16, 12),
+            "ASR variants share keys"
+        );
+        let engine = ExperimentEngine::with_workers(2);
+
+        let snapshots = SnapshotArena::new();
+        m.run_forked(&engine, &TraceArena::new(), &snapshots)
+            .unwrap();
+        assert_eq!(snapshots.len(), 0, "run_forked retains no checkpoint");
+        assert_eq!(snapshots.warmups(), unique.len(), "one warm-up per key");
+
+        let path = std::env::temp_dir().join(format!(
+            "rnuca-scenario-{}-retain-none.journal",
+            std::process::id()
+        ));
+        let snapshots = SnapshotArena::new();
+        let (sweep, _) = m
+            .run_supervised_journaled(
+                &engine,
+                &TraceArena::new(),
+                &snapshots,
+                &path,
+                false,
+                &RetryPolicy::immediate(0),
+            )
+            .unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(sweep.completed(), jobs.len());
+        assert_eq!(snapshots.len(), 0, "the supervised sweep retains none");
+        assert_eq!(snapshots.warmups(), unique.len(), "one warm-up per key");
     }
 
     #[test]

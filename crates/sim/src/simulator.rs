@@ -87,6 +87,20 @@ const PREFETCH_ENABLED: bool = cfg!(target_arch = "x86_64");
 /// doubling (the periodic sweep bounds it to two residency windows).
 const L1_DIRTY_INITIAL_CAPACITY: usize = 16_384;
 
+/// The ASR controller's starting `(allocation probability, adaptive)` pair
+/// for `design` (non-ASR designs always allocate and never adapt).
+fn asr_parameters(design: LlcDesign) -> (f64, bool) {
+    match design {
+        LlcDesign::Asr {
+            policy: AsrPolicy::Static(p),
+        } => (p, false),
+        LlcDesign::Asr {
+            policy: AsrPolicy::Adaptive,
+        } => (0.5, true),
+        _ => (1.0, false),
+    }
+}
+
 /// The per-run results returned by [`CmpSimulator::run_measured`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MeasuredRun {
@@ -145,22 +159,12 @@ struct L1DirtyEntry {
     stamp: u64,
 }
 
-impl Snap for L1DirtyEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.owner.encode(out);
-        self.stamp.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        L1DirtyEntry {
-            owner: r.get(),
-            stamp: r.get(),
-        }
-    }
-}
-
 /// The simulator for one `(design, workload)` pair.
-#[derive(Debug)]
+///
+/// `Clone` copies the complete simulator, warmed state and configuration
+/// alike; a warmed checkpoint forks by cloning (see
+/// [`SimSnapshot`](crate::snapshot::SimSnapshot)).
+#[derive(Debug, Clone)]
 pub struct CmpSimulator {
     design: LlcDesign,
     config: SystemConfig,
@@ -227,6 +231,7 @@ impl CmpSimulator {
     /// Builds a simulator for `design` running `spec`'s system configuration,
     /// seeding the simulator's RNG from `seed`.
     pub fn with_seed(design: LlcDesign, spec: &WorkloadSpec, seed: u64) -> Self {
+        rnuca_types::os_hint::retain_freed_memory();
         let config = spec.system_config();
         let placement_config = match design {
             LlcDesign::RNuca { instr_cluster_size } => {
@@ -234,15 +239,7 @@ impl CmpSimulator {
             }
             _ => PlacementConfig::from_system(&config),
         };
-        let (asr_probability, asr_adaptive) = match design {
-            LlcDesign::Asr {
-                policy: AsrPolicy::Static(p),
-            } => (p, false),
-            LlcDesign::Asr {
-                policy: AsrPolicy::Adaptive,
-            } => (0.5, true),
-            _ => (1.0, false),
-        };
+        let (asr_probability, asr_adaptive) = asr_parameters(design);
         let ideal_cache = match design {
             LlcDesign::Ideal => {
                 let slice = config.l2_slice.geometry;
@@ -381,7 +378,7 @@ impl CmpSimulator {
     /// source; the [`FusedDriver`](crate::fused::FusedDriver) calls it with
     /// one shared batch per design instance, so N designs consume a stream
     /// in a single decode pass. The batch buffer is caller-owned and never
-    /// part of snapshot state, so which buffer the references arrive in is
+    /// part of the warmed state, so which buffer the references arrive in is
     /// architecturally invisible.
     pub fn step_batch(&mut self, buf: &[MemoryAccess]) {
         match self.design {
@@ -1100,91 +1097,41 @@ impl CmpSimulator {
         self.asr_window_accesses = 0;
     }
 
-    // ----- snapshot support -------------------------------------------------
+    // ----- fork support -----------------------------------------------------
 
-    /// Serializes every piece of state that warm-up mutates — the tile
-    /// slices and victim buffers, the memory system, the OS page table and
-    /// TLBs, the coherence directory, the dirty-block map, the ideal
-    /// design's aggregate cache, the RNG, the ASR controller, and all
-    /// accounting counters — into a flat byte buffer.
+    /// Rebinds the design-owned configuration — the design itself and the
+    /// ASR controller's allocation probability and adaptive flag — to
+    /// `design`, keeping every piece of warmed state.
     ///
-    /// Constructor-owned configuration (the design, latency LUTs, placement
-    /// engine, cached geometry scalars) is deliberately *not* serialized: a
-    /// restore target rebuilds those from its own `(design, spec)` pair via
-    /// [`CmpSimulator::with_seed`]. Excluding the design — and with it the
-    /// ASR allocation probability — is what lets one warmed checkpoint seed
-    /// every ASR variant without clobbering the variant's own policy.
-    pub fn save_state(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.tiles.encode(&mut out);
-        self.mem.encode(&mut out);
-        self.os.encode(&mut out);
-        self.l2_directory.encode(&mut out);
-        self.l1_dirty.encode(&mut out);
-        self.ideal_cache.encode(&mut out);
-        self.rng.state().encode(&mut out);
-        self.asr_window_cycles.encode(&mut out);
-        self.asr_prev_window_cycles.encode(&mut out);
-        self.asr_window_accesses.encode(&mut out);
-        self.asr_direction.encode(&mut out);
-        self.clock.encode(&mut out);
-        self.sweep_countdown.encode(&mut out);
-        self.measuring.encode(&mut out);
-        self.acc.encode(&mut out);
-        self.measured_accesses.encode(&mut out);
-        self.off_chip_accesses.encode(&mut out);
-        self.l1_to_l1_transfers.encode(&mut out);
-        self.misclassified.encode(&mut out);
-        self.classified.encode(&mut out);
-        self.reclassifications.encode(&mut out);
-        out
+    /// These are the only fields that differ between designs of one warm-up
+    /// class (the six ASR variants warm with one canonical probability; see
+    /// `ASR_WARMUP_PROBABILITY`), so a clone of a warmed simulator rebound to
+    /// another design of its class is the simulator that design would have
+    /// built by warming itself. The snapshot layer checks the class before
+    /// calling this.
+    pub(crate) fn rebind_design(&mut self, design: LlcDesign) {
+        (self.asr_probability, self.asr_adaptive) = asr_parameters(design);
+        self.design = design;
     }
 
-    /// Restores the state captured by [`CmpSimulator::save_state`],
-    /// field-for-field, leaving the receiver bit-identical (in simulation
-    /// behaviour) to the simulator the buffer was saved from.
-    ///
-    /// The receiver must have been built for a [`WorkloadSpec`] with the
-    /// same system configuration the snapshot was taken under — the buffer
-    /// carries the warmed *state*, not the geometry it was shaped by — and
-    /// the whole buffer must be consumed exactly.
-    pub fn load_state(&mut self, bytes: &[u8]) {
-        let mut r = SnapReader::new(bytes);
-        self.tiles = r.get();
-        self.mem = r.get();
-        self.os = r.get();
-        self.l2_directory = r.get();
-        self.l1_dirty = r.get();
-        self.ideal_cache = r.get();
-        self.rng = StdRng::seed_from_u64(r.get());
-        self.asr_window_cycles = r.get();
-        self.asr_prev_window_cycles = r.get();
-        self.asr_window_accesses = r.get();
-        self.asr_direction = r.get();
-        self.clock = r.get();
-        self.sweep_countdown = r.get();
-        self.measuring = r.get();
-        self.acc = r.get();
-        self.measured_accesses = r.get();
-        self.off_chip_accesses = r.get();
-        self.l1_to_l1_transfers = r.get();
-        self.misclassified = r.get();
-        self.classified = r.get();
-        self.reclassifications = r.get();
-        assert_eq!(
-            r.remaining(),
-            0,
-            "snapshot buffer has trailing bytes after restore"
-        );
+    /// Heap bytes of the simulator's large slabs: the LLC slices (and the
+    /// ideal design's aggregate array), the directory entry table, the
+    /// dirty-block map and the page table. Victim buffers, TLBs and latency
+    /// tables are a few kilobytes and not counted.
+    pub fn slab_bytes(&self) -> usize {
+        self.tiles.iter().map(Tile::slab_bytes).sum::<usize>()
+            + self.ideal_cache.as_ref().map_or(0, CacheArray::slab_bytes)
+            + self.l2_directory.slab_bytes()
+            + self.l1_dirty.slab_bytes()
+            + self.os.page_table().slab_bytes()
     }
 }
 
 impl PartialEq for CmpSimulator {
-    /// Snapshot-state equality: compares exactly the fields
-    /// [`CmpSimulator::save_state`] serializes (including the RNG state), so
-    /// `restore(save(sim)) == sim` is the codec's round-trip property.
-    /// Constructor-owned configuration is excluded on both sides of the
-    /// equation for the same reason it is excluded from the codec.
+    /// Warmed-state equality: compares every field warm-up mutates
+    /// (including the RNG state) and none of the configuration, the
+    /// design-owned fields included, so a fork rebound to another design of
+    /// its warm-up class equals that design's own warmed simulator.
     fn eq(&self, other: &Self) -> bool {
         self.tiles == other.tiles
             && self.mem == other.mem

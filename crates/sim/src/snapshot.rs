@@ -1,25 +1,26 @@
-//! The warmed-snapshot arena: warm each simulator state once, fork it
-//! everywhere.
+//! Warmed checkpoints: warm each simulator state once, fork it to every
+//! design that shares it.
 //!
-//! Profiling the v3 benchmark loop showed warm-up dominating wall-clock:
-//! roughly two thirds of every timed scenario was spent rebuilding the same
-//! warmed caches, page tables, and directory state that an earlier job with
-//! the same `(design, workload, geometry, seed)` had already built. The
-//! ASR best-of-six sweep is the worst case — six variants, one shared warmed
-//! state, warmed six times.
+//! Warm-up dominates the cost of a comparison: every design starts from
+//! caches, page tables and directory state warmed over the same reference
+//! prefix, and the ASR best-of-six sweep is the worst case — six variants,
+//! one shared warmed state. A [`SimSnapshot`] is that warmed state: a
+//! canonical simulator of one [`WarmupClass`] that has consumed the prefix.
+//! A design forks it with [`SimSnapshot::fork`], a `clone` of the template
+//! rebound to the design's own configuration, or takes it outright with
+//! [`SimSnapshot::into_fork`] when it is the last consumer.
 //!
-//! [`SnapshotArena`] removes that redundancy the same way the
-//! [`TraceArena`] removes trace-generation redundancy: each unique
-//! [`SnapshotKey`] is *generated exactly once* — a canonical simulator is
-//! warmed over the arena-shared reference stream and its complete mutable
-//! state serialized into a compact [`SimSnapshot`] — and every job that
-//! needs the warmed state *forks* a fresh simulator from the checkpoint via
-//! [`SimSnapshot::fork`] instead of re-running warm-up.
+//! Fused groups ([`run_group_forked`]) own their checkpoints: each distinct
+//! [`SnapshotKey`] of a group is warmed in place (or taken from the
+//! [`SnapshotArena`] when a caller pre-populated it), earlier members of a
+//! class clone the template and the last one moves it, and nothing outlives
+//! the group. The arena memoizes checkpoints for callers that share one
+//! across calls ([`SnapshotArena::snapshot`]).
 //!
-//! Determinism guarantee: a fork restores every field warm-up mutates —
+//! Determinism guarantee: a fork carries every field warm-up mutates —
 //! cache slabs with their occupancy masks and age vectors, victim-buffer
 //! FIFO links, the coherence entry table, the OS page table and per-core
-//! TLB LRU lists, the dirty-block map, the RNG, the clock — bit-for-bit, so
+//! TLB LRU lists, the dirty-block map, the RNG, the clock — bit for bit, so
 //! `fork + run_measured` produces the byte-identical [`MeasuredRun`] that
 //! `run_warmup + run_measured` on a fresh simulator produces. The
 //! differential suite in `tests/snapshot_differential.rs` pins this down
@@ -31,7 +32,7 @@
 //! simulator), so they collapse onto one [`WarmupClass::Asr`] checkpoint —
 //! the best-of-six sweep warms once, not six times.
 //!
-//! [`TraceArena`]: rnuca_workloads::TraceArena
+//! [`run_group_forked`]: crate::fused::run_group_forked
 //! [`MeasuredRun`]: crate::simulator::MeasuredRun
 
 use crate::design::{AsrPolicy, LlcDesign};
@@ -146,18 +147,13 @@ impl SnapshotKey {
     }
 }
 
-/// One warmed checkpoint: the serialized mutable state of a simulator that
-/// has consumed exactly `warmup_refs` references of its stream.
-///
-/// The buffer holds only state — no configuration — so forking rebuilds the
-/// target design's own latency tables and policy parameters and then
-/// overlays the warmed state (see [`CmpSimulator::save_state`]).
+/// One warmed checkpoint: a canonical simulator of one warm-up class that
+/// has consumed the warm-up prefix of its stream.
 #[derive(Debug, Clone)]
 pub struct SimSnapshot {
     class: WarmupClass,
-    seed: u64,
-    warmup_refs: usize,
-    bytes: Vec<u8>,
+    fingerprint: u64,
+    template: CmpSimulator,
 }
 
 impl SimSnapshot {
@@ -177,51 +173,64 @@ impl SimSnapshot {
     ) -> Self {
         let class = WarmupClass::of(design);
         let mut slice = traces.slice(spec, seed, min_trace_len.max(warmup_refs));
-        let mut sim = CmpSimulator::with_seed(class.canonical_design(), spec, seed);
-        sim.run_warmup(&mut slice, warmup_refs);
+        let mut template = CmpSimulator::with_seed(class.canonical_design(), spec, seed);
+        template.run_warmup(&mut slice, warmup_refs);
         SimSnapshot {
             class,
-            seed,
-            warmup_refs,
-            bytes: sim.save_state(),
+            fingerprint: spec_fingerprint(spec),
+            template,
         }
     }
 
-    /// Builds a fresh simulator for `design` and restores the checkpoint
-    /// into it — the fork is bit-identical (in simulation behaviour) to a
-    /// simulator that streamed the warm-up itself.
+    /// A simulator for `design` carrying the warmed state: a clone of the
+    /// template rebound to `design` — bit-identical (in simulation
+    /// behaviour) to a simulator that streamed the warm-up itself.
     ///
     /// # Panics
     ///
     /// Panics if `design` is not in the class this checkpoint was warmed
-    /// for: state from a different class would be silently wrong, never
+    /// for, or `spec` is not the spec it was warmed over: state from a
+    /// different class or configuration would be silently wrong, never
     /// just slower.
     pub fn fork(&self, design: LlcDesign, spec: &WorkloadSpec) -> CmpSimulator {
+        self.check(design, spec);
+        let mut sim = self.template.clone();
+        sim.rebind_design(design);
+        sim
+    }
+
+    /// [`SimSnapshot::fork`] for the checkpoint's last consumer: moves the
+    /// template into the fork instead of copying it.
+    ///
+    /// # Panics
+    ///
+    /// As [`SimSnapshot::fork`].
+    pub fn into_fork(self, design: LlcDesign, spec: &WorkloadSpec) -> CmpSimulator {
+        self.check(design, spec);
+        let mut sim = self.template;
+        sim.rebind_design(design);
+        sim
+    }
+
+    fn check(&self, design: LlcDesign, spec: &WorkloadSpec) {
         assert_eq!(
             WarmupClass::of(design),
             self.class,
             "cannot fork a {design} simulator from a {:?} checkpoint",
             self.class
         );
-        let mut sim = CmpSimulator::with_seed(design, spec, self.seed);
-        sim.load_state(&self.bytes);
-        sim
+        assert_eq!(
+            spec_fingerprint(spec),
+            self.fingerprint,
+            "cannot fork a {} simulator from a checkpoint warmed for another spec",
+            spec.name
+        );
     }
 
-    /// The warm-up class the checkpoint was captured under.
-    pub fn class(&self) -> WarmupClass {
-        self.class
-    }
-
-    /// References consumed by the checkpoint; a forked simulator's trace
-    /// cursor must skip exactly this prefix before measuring.
-    pub fn warmup_refs(&self) -> usize {
-        self.warmup_refs
-    }
-
-    /// Heap bytes of the serialized state.
+    /// Heap bytes of the template's large slabs (see
+    /// [`CmpSimulator::slab_bytes`]).
     pub fn packed_bytes(&self) -> usize {
-        self.bytes.len()
+        self.template.slab_bytes()
     }
 }
 
@@ -232,23 +241,28 @@ struct Cell {
     snap: Mutex<Option<Arc<SimSnapshot>>>,
 }
 
-/// A thread-safe, memoizing store of warmed checkpoints.
+/// A thread-safe store of warmed checkpoints.
 ///
-/// The arena guarantees each unique [`SnapshotKey`] is warmed exactly once,
-/// even under concurrent requests — the same exactly-once discipline as
-/// [`TraceArena`]: the key map hands out per-key cells, and warm-up runs
-/// under the cell's own lock (two workers asking for the *same* checkpoint
-/// serialize on it and the second finds it filled; workers asking for
-/// *different* checkpoints warm in parallel).
+/// Two access paths:
 ///
-/// Experiment layers pre-populate the unique keys of a job list in parallel
-/// (see [`SnapshotArena::populate`]) and then resolve every job through
-/// [`SnapshotArena::snapshot`], which is a lock-and-clone once the
-/// checkpoint exists.
+/// * [`SnapshotArena::snapshot`] / [`SnapshotArena::populate`] memoize:
+///   each unique [`SnapshotKey`] is warmed exactly once, even under
+///   concurrent requests — the same exactly-once discipline as
+///   [`TraceArena`]: the key map hands out per-key cells, and warm-up runs
+///   under the cell's own lock (two workers asking for the *same*
+///   checkpoint serialize on it and the second finds it filled; workers
+///   asking for *different* checkpoints warm in parallel).
+/// * [`SnapshotArena::take_or_capture`] consumes: it removes a
+///   pre-populated checkpoint from the arena, or warms one in place without
+///   storing it. Fused groups resolve their checkpoints this way, so a sweep
+///   holds only the checkpoints of the groups currently running.
+///
+/// [`SnapshotArena::warmups`] counts every warm-up either path ran.
 #[derive(Debug, Default)]
 pub struct SnapshotArena {
     cells: Mutex<HashMap<SnapshotKey, Arc<Cell>>>,
     generations: AtomicUsize,
+    warmups: AtomicUsize,
 }
 
 impl SnapshotArena {
@@ -267,13 +281,20 @@ impl SnapshotArena {
         self.len() == 0
     }
 
-    /// How many warm-ups actually ran (diagnostics: equals
-    /// [`SnapshotArena::len`] exactly when every request was deduplicated).
+    /// How many checkpoints were warmed into the arena (diagnostics:
+    /// equals [`SnapshotArena::len`] exactly when every memoized request was
+    /// deduplicated and nothing was taken).
     pub fn generations(&self) -> usize {
         self.generations.load(Ordering::Relaxed)
     }
 
-    /// Total heap bytes of all serialized checkpoints currently held.
+    /// How many warm-ups ran through the arena: those warmed into it plus
+    /// those [`SnapshotArena::take_or_capture`] ran in place.
+    pub fn warmups(&self) -> usize {
+        self.warmups.load(Ordering::Relaxed)
+    }
+
+    /// Total slab bytes of all checkpoints currently held.
     pub fn packed_bytes(&self) -> usize {
         let cells: Vec<Arc<Cell>> = self
             .cells
@@ -321,14 +342,7 @@ impl SnapshotArena {
         if let Some(snap) = slot.as_ref() {
             return Arc::clone(snap);
         }
-        let snap = Arc::new(SimSnapshot::capture(
-            traces,
-            design,
-            spec,
-            seed,
-            warmup_refs,
-            min_trace_len,
-        ));
+        let snap = Arc::new(self.capture(traces, design, spec, seed, warmup_refs, min_trace_len));
         self.generations.fetch_add(1, Ordering::Relaxed);
         *slot = Some(Arc::clone(&snap));
         snap
@@ -346,6 +360,50 @@ impl SnapshotArena {
         min_trace_len: usize,
     ) {
         self.snapshot(traces, design, spec, seed, warmup_refs, min_trace_len);
+    }
+
+    /// The checkpoint for `design`'s class over `spec`'s stream, owned by
+    /// the caller: removed from the arena when it was pre-populated there
+    /// (the checkpoint leaves the arena), otherwise warmed in place and
+    /// never stored.
+    ///
+    /// A taken checkpoint that another holder of [`SnapshotArena::snapshot`]
+    /// still shares is copied rather than moved.
+    pub fn take_or_capture(
+        &self,
+        traces: &TraceArena,
+        design: LlcDesign,
+        spec: &WorkloadSpec,
+        seed: u64,
+        warmup_refs: usize,
+        min_trace_len: usize,
+    ) -> SimSnapshot {
+        let key = SnapshotKey::new(design, spec, seed, warmup_refs);
+        let cell = self
+            .cells
+            .lock()
+            .expect("snapshot key map poisoned")
+            .remove(&key);
+        // Taking the cell's lock waits out a warm-up still running into it.
+        let held = cell.and_then(|c| c.snap.lock().expect("snapshot cell poisoned").take());
+        match held {
+            Some(snap) => Arc::try_unwrap(snap).unwrap_or_else(|shared| (*shared).clone()),
+            None => self.capture(traces, design, spec, seed, warmup_refs, min_trace_len),
+        }
+    }
+
+    fn capture(
+        &self,
+        traces: &TraceArena,
+        design: LlcDesign,
+        spec: &WorkloadSpec,
+        seed: u64,
+        warmup_refs: usize,
+        min_trace_len: usize,
+    ) -> SimSnapshot {
+        let snap = SimSnapshot::capture(traces, design, spec, seed, warmup_refs, min_trace_len);
+        self.warmups.fetch_add(1, Ordering::Relaxed);
+        snap
     }
 }
 
@@ -472,6 +530,43 @@ mod tests {
         // Both warmed off one shared trace slab.
         assert_eq!(traces.len(), 1);
         assert_eq!(traces.generations(), 1);
+    }
+
+    #[test]
+    fn take_or_capture_removes_a_populated_checkpoint_or_warms_in_place() {
+        let traces = TraceArena::new();
+        let arena = SnapshotArena::new();
+        let spec = WorkloadSpec::em3d();
+        arena.populate(&traces, LlcDesign::Shared, &spec, 3, 2_000, 4_000);
+        let taken = arena.take_or_capture(&traces, LlcDesign::Shared, &spec, 3, 2_000, 4_000);
+        assert!(arena.is_empty(), "a taken checkpoint leaves the arena");
+        assert_eq!((arena.generations(), arena.warmups()), (1, 1));
+        assert!(taken.packed_bytes() > 0);
+
+        // Absent: warmed in place, counted, never stored.
+        let warmed = arena.take_or_capture(&traces, LlcDesign::Shared, &spec, 3, 2_000, 4_000);
+        assert!(arena.is_empty());
+        assert_eq!((arena.generations(), arena.warmups()), (1, 2));
+        assert!(warmed.fork(LlcDesign::Shared, &spec) == taken.fork(LlcDesign::Shared, &spec));
+
+        // The moving fork equals the copying one.
+        let copied = taken.fork(LlcDesign::Shared, &spec);
+        assert!(taken.into_fork(LlcDesign::Shared, &spec) == copied);
+    }
+
+    #[test]
+    #[should_panic(expected = "warmed for another spec")]
+    fn forking_across_specs_panics() {
+        let traces = TraceArena::new();
+        let spec = WorkloadSpec::em3d();
+        let snap = SimSnapshot::capture(&traces, LlcDesign::Shared, &spec, 1, 500, 500);
+        let resized = spec
+            .at_config_point(&rnuca_types::config::ConfigPoint {
+                slice_capacity_kb: Some(2048),
+                ..Default::default()
+            })
+            .unwrap();
+        snap.fork(LlcDesign::Shared, &resized);
     }
 
     #[test]

@@ -73,7 +73,7 @@ impl Fnv64 {
     }
 
     /// Mixes an `f64` by bit pattern (NaN payloads and signed zeros
-    /// distinguish, exactly like the snapshot codec's `f64` encoding).
+    /// distinguish, exactly like the journal codec's `f64` encoding).
     pub fn write_f64(&mut self, v: f64) -> &mut Self {
         self.write_u64(v.to_bits())
     }

@@ -1,26 +1,21 @@
-//! The state-snapshot byte codec behind warmed-checkpoint forking.
+//! The fixed-size journal codec.
 //!
-//! Every simulator structure whose contents accumulate during warm-up
-//! implements [`Snap`]: a flat, versionless little-endian encoding into a
-//! shared byte buffer, plus the exact inverse. The codec is deliberately
-//! *verbatim*: open-addressed maps encode their slot arrays as laid out
-//! (probe chains included), LRU slabs encode their intrusive links, cache
-//! arrays encode their tag/age/meta slabs and occupancy masks unchanged —
-//! so a decoded structure is not merely equal to the original as a mapping,
-//! it is the bit-identical object, and a simulator restored from a snapshot
-//! continues exactly as the warmed original would have.
+//! [`Snap`] is a flat, versionless little-endian encoding for the few
+//! value types whose bytes reach disk: the sweep journal writes each
+//! completed job's `MeasuredRun` (with its CPI breakdown) through it, and
+//! the benchmark's results digest hashes the same bytes. Only fixed-width
+//! scalars implement it, so every encoded record has one size and one
+//! layout, and a journal written by one build is read back field for field
+//! by another.
 //!
-//! The format has no headers, tags, or self-description: encoder and
-//! decoder are compiled from the same struct definitions, and snapshots
-//! never outlive the process (they live in an in-memory
-//! `SnapshotArena`), so there is nothing to version against.
+//! The format has no headers, tags or self-description; the journal frames
+//! each payload with its own length and checksum (see `rnuca_sim::journal`).
 
-/// A reader over an encoded snapshot buffer.
+/// A reader over an encoded buffer.
 ///
 /// Tracks a cursor into the byte slice; every decode consumes exactly the
-/// bytes its encode produced. Running past the end panics — a snapshot is
-/// produced and consumed by the same build, so a short buffer is a bug,
-/// not an input error.
+/// bytes its encode produced. Running past the end panics, so callers
+/// reading untrusted bytes check lengths before decoding.
 #[derive(Debug)]
 pub struct SnapReader<'a> {
     bytes: &'a [u8],
@@ -57,10 +52,8 @@ impl<'a> SnapReader<'a> {
     }
 }
 
-/// Byte-exact snapshot encoding for one type.
-///
-/// `decode(encode(x)) == x` field-for-field; for container types the
-/// internal layout (slot order, link order) round-trips too.
+/// Byte-exact fixed-size encoding for one type: `decode(encode(x)) == x`
+/// field for field.
 pub trait Snap: Sized {
     /// Appends this value's encoding to `out`.
     fn encode(&self, out: &mut Vec<u8>);
@@ -84,36 +77,11 @@ macro_rules! impl_snap_int {
     )*};
 }
 
-impl_snap_int!(u8, u16, u32, u64, i64);
-
-impl Snap for usize {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (*self as u64).encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        let v = u64::decode(r);
-        usize::try_from(v).expect("snapshot usize fits the host word")
-    }
-}
-
-impl Snap for bool {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(u8::from(*self));
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        match u8::decode(r) {
-            0 => false,
-            1 => true,
-            b => panic!("snapshot bool byte {b} is neither 0 nor 1"),
-        }
-    }
-}
+impl_snap_int!(u8, u32, u64);
 
 impl Snap for f64 {
-    /// Encoded via [`f64::to_bits`]: restore is bit-identical, NaN payloads
-    /// and signed zeros included.
+    /// Encoded via [`f64::to_bits`]: the decode is bit-identical, NaN
+    /// payloads and signed zeros included.
     fn encode(&self, out: &mut Vec<u8>) {
         self.to_bits().encode(out);
     }
@@ -123,146 +91,14 @@ impl Snap for f64 {
     }
 }
 
-impl<T: Snap> Snap for Option<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            None => out.push(0),
-            Some(v) => {
-                out.push(1);
-                v.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        match u8::decode(r) {
-            0 => None,
-            1 => Some(T::decode(r)),
-            b => panic!("snapshot Option tag {b} is neither 0 nor 1"),
-        }
-    }
-}
-
-impl<A: Snap, B: Snap> Snap for (A, B) {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-        self.1.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        let a = A::decode(r);
-        let b = B::decode(r);
-        (a, b)
-    }
-}
-
-impl<T: Snap> Snap for Vec<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.len().encode(out);
-        for item in self {
-            item.encode(out);
-        }
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        let len = usize::decode(r);
-        let mut v = Vec::with_capacity(len);
-        for _ in 0..len {
-            v.push(T::decode(r));
-        }
-        v
-    }
-}
-
-/// Decodes a `Vec<T>` whose backing allocation is hinted for huge pages
-/// *before* the elements are written (first touch), matching how the large
-/// simulator slabs allocate. Use for the multi-megabyte tag/age/metadata
-/// slabs a snapshot restores; plain [`Vec::decode`] is fine elsewhere.
-pub fn decode_vec_hinted<T: Snap>(r: &mut SnapReader<'_>) -> Vec<T> {
-    let len = usize::decode(r);
-    let mut v: Vec<T> = Vec::with_capacity(len);
-    crate::os_hint::advise_huge_pages(v.as_ptr(), len * std::mem::size_of::<T>());
-    for _ in 0..len {
-        v.push(T::decode(r));
-    }
-    v
-}
-
-impl Snap for crate::ids::CoreId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.index().encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        crate::ids::CoreId::new(usize::decode(r))
-    }
-}
-
-impl Snap for crate::ids::TileId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.index().encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        crate::ids::TileId::new(usize::decode(r))
-    }
-}
-
-impl Snap for crate::latency::Cycles {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        crate::latency::Cycles(u64::decode(r))
-    }
-}
-
-impl Snap for crate::access::AccessClass {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            crate::access::AccessClass::Instruction => 0,
-            crate::access::AccessClass::PrivateData => 1,
-            crate::access::AccessClass::SharedData => 2,
-        });
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        match u8::decode(r) {
-            0 => crate::access::AccessClass::Instruction,
-            1 => crate::access::AccessClass::PrivateData,
-            2 => crate::access::AccessClass::SharedData,
-            b => panic!("snapshot AccessClass tag {b} is out of range"),
-        }
-    }
-}
-
-impl Snap for crate::config::CacheGeometry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.capacity_bytes.encode(out);
-        self.ways.encode(out);
-        self.block_bytes.encode(out);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Self {
-        let capacity_bytes = usize::decode(r);
-        let ways = usize::decode(r);
-        let block_bytes = usize::decode(r);
-        crate::config::CacheGeometry::new(capacity_bytes, ways, block_bytes)
-            .expect("snapshot geometry was valid when encoded")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::AccessClass;
-    use crate::ids::{CoreId, TileId};
-    use crate::latency::Cycles;
 
     fn roundtrip<T: Snap + PartialEq + std::fmt::Debug>(value: T) {
         let mut buf = Vec::new();
         value.encode(&mut buf);
+        assert_eq!(buf.len(), std::mem::size_of::<T>(), "fixed-size encoding");
         let mut r = SnapReader::new(&buf);
         assert_eq!(T::decode(&mut r), value);
         assert_eq!(r.remaining(), 0, "decode must consume the whole encoding");
@@ -272,12 +108,8 @@ mod tests {
     fn primitives_roundtrip() {
         roundtrip(0u8);
         roundtrip(u8::MAX);
-        roundtrip(0xBEEFu16);
         roundtrip(0xDEAD_BEEFu32);
         roundtrip(u64::MAX - 3);
-        roundtrip(usize::MAX);
-        roundtrip(true);
-        roundtrip(false);
         roundtrip(1.25f64);
         roundtrip(-0.0f64);
     }
@@ -289,26 +121,6 @@ mod tests {
         nan.encode(&mut buf);
         let decoded = f64::decode(&mut SnapReader::new(&buf));
         assert_eq!(decoded.to_bits(), nan.to_bits());
-    }
-
-    #[test]
-    fn containers_roundtrip() {
-        roundtrip(Option::<u64>::None);
-        roundtrip(Some(42u64));
-        roundtrip(vec![1u64, 2, 3]);
-        roundtrip(Vec::<u8>::new());
-        roundtrip((7u32, Some(vec![false, true])));
-    }
-
-    #[test]
-    fn domain_types_roundtrip() {
-        roundtrip(CoreId::new(13));
-        roundtrip(TileId::new(63));
-        roundtrip(Cycles(9000));
-        roundtrip(AccessClass::Instruction);
-        roundtrip(AccessClass::PrivateData);
-        roundtrip(AccessClass::SharedData);
-        roundtrip(crate::config::CacheGeometry::new(512 * 1024, 16, 64).expect("valid geometry"));
     }
 
     #[test]

@@ -179,6 +179,7 @@ impl TraceSlab {
     ///
     /// Panics if the spec fails validation (as [`TraceGenerator::new`] does).
     pub fn generate(spec: &WorkloadSpec, seed: u64, len: usize) -> Self {
+        rnuca_types::os_hint::retain_freed_memory();
         let mut gen = TraceGenerator::new(spec, seed);
         let mut slab = TraceSlab {
             addrs: Vec::with_capacity(len),
