@@ -59,15 +59,17 @@
 //! result (and any warehouse built from it) is bit-identical to an
 //! uninterrupted run. A leftover journal without `--resume` is an error
 //! (it means an earlier sweep was interrupted); a completed sweep removes
-//! its journal. `journal PATH` prints a journal's header and completion
-//! count without running anything.
+//! its journal, and a fault in the journal itself aborts the sweep.
+//! `journal PATH` prints a journal's header and completion count without
+//! running anything.
 //!
-//! Panic quarantine: `sweep --supervised` composes the journal with per-job
-//! supervision — a scenario whose every attempt panics is quarantined (with
-//! `--retries=N` solo retries under seeded backoff) instead of killing the
+//! Panic quarantine: every sweep runs under per-job supervision — a
+//! scenario whose every attempt panics is quarantined (with `--retries=N`
+//! solo retries under seeded backoff, default 1) instead of killing the
 //! sweep, journaled as a typed failure entry (`--resume` skips it rather
 //! than re-crashing), recorded as a queryable `kind=failed` warehouse row,
-//! and listed in a `"failures"` array in the JSON.
+//! and listed in a `"failures"` array in the JSON (its `results` slot is
+//! `null`). The sweep still finishes its output, then exits 1.
 //!
 //! The experiment service (`figures serve`) runs sweeps as a resident job
 //! server over a Unix socket in `--spool=DIR` (default `bench/spool`);
@@ -91,15 +93,14 @@ use rnuca_service::{Request, ServiceClient, ServiceConfig};
 use rnuca_sim::report::{fmt3, fmt_pct};
 use rnuca_sim::{
     group_indices, DesignComparison, ExperimentConfig, ExperimentEngine, JournalError,
-    JournalReplay, QuarantinedSweep, ScenarioMatrix, ScenarioSweep, SnapshotArena, SweepError,
-    TextTable,
+    JournalReplay, QuarantinedSweep, SnapshotArena, SweepError, TextTable,
 };
 use rnuca_types::access::AccessClass;
 use rnuca_types::config::SystemConfig;
 use rnuca_types::ids::TileId;
 use rnuca_types::{BackoffConfig, RetryPolicy};
 use rnuca_warehouse::{render_errors, Warehouse};
-use rnuca_workloads::WorkloadSpec;
+use rnuca_workloads::{TraceArena, WorkloadSpec};
 use std::path::Path;
 
 const CHARACTERIZATION_REFS: usize = 400_000;
@@ -143,7 +144,6 @@ fn main() {
         .map(String::from);
     let resume = args.iter().any(|a| a == "--resume");
     let json_output = args.iter().any(|a| a == "--json");
-    let supervised = args.iter().any(|a| a == "--supervised");
     let retries = match args.iter().find_map(|a| a.strip_prefix("--retries=")) {
         Some(n) => n
             .parse::<u32>()
@@ -221,7 +221,7 @@ fn main() {
             )
     });
     let comparison = if needs_eval {
-        Some(DesignComparison::run_evaluation_with(&cfg, &engine))
+        Some(DesignComparison::run_evaluation(&cfg, &engine))
     } else {
         None
     };
@@ -241,20 +241,13 @@ fn main() {
             "fig11" => fig11(&cfg, &engine),
             "fig12" => fig12(comparison.as_ref().unwrap()),
             "accuracy" => accuracy(comparison.as_ref().unwrap()),
-            "sweep" if supervised => sweep_supervised(
-                cfg,
-                &engine,
-                store_path.as_deref(),
-                journal_arg.as_deref(),
-                resume,
-                retries,
-            ),
             "sweep" => sweep(
                 cfg,
                 &engine,
                 store_path.as_deref(),
                 journal_arg.as_deref(),
                 resume,
+                retries,
             ),
             "perf" if perf_list => perf_list_only(&cfg, perf_filter.as_deref()),
             "perf" => perf(
@@ -289,106 +282,13 @@ fn main() {
 
 /// The scenario-matrix sweep: every workload at 16/32/64 cores, three slice
 /// capacities, under the shared design and R-NUCA at three cluster sizes.
-/// Prints the result matrix as JSON on stdout. With `--store=` every sweep
-/// point is also appended to the warehouse (the append summary goes to
-/// stderr, keeping stdout pipeable). With `--journal=` every completed job
-/// is logged as the sweep runs, and `--resume` continues an interrupted
-/// sweep from that journal.
+/// Prints the result matrix as JSON on stdout. With `--store=` every job
+/// lands as a warehouse row (the append summary goes to stderr, keeping
+/// stdout pipeable). With `--journal=` every landed job is logged as the
+/// sweep runs, and `--resume` continues an interrupted sweep from that
+/// journal. A quarantined job (see the module docs) leaves the JSON, the
+/// store, and the journal cleanup intact and makes the run exit 1.
 fn sweep(
-    cfg: ExperimentConfig,
-    engine: &ExperimentEngine,
-    store_path: Option<&str>,
-    journal: Option<&str>,
-    resume: bool,
-) {
-    use rnuca_workloads::TraceArena;
-    let matrix = rnuca_bench::default_sweep_matrix(cfg);
-    let sweep = match journal {
-        Some(jpath) => run_journaled_sweep(&matrix, engine, jpath, resume, store_path),
-        None => match store_path {
-            Some(path) => {
-                let store = open_store(path);
-                let (sweep, summary) = matrix
-                    .run_forked_into(engine, &TraceArena::new(), &SnapshotArena::new(), &store)
-                    .expect("the default sweep axes are valid");
-                save_store(&store, path);
-                eprintln!(
-                    "warehouse: {} new rows ({} deduplicated) -> {path}",
-                    summary.added, summary.deduplicated
-                );
-                sweep
-            }
-            None => matrix
-                .run_with(engine)
-                .expect("the default sweep axes are valid"),
-        },
-    };
-    print!("{}", sweep.to_json());
-}
-
-/// The journaled (crash-safe) sweep path: refuses to clobber a leftover
-/// journal without `--resume`, replays journaled jobs on resume, and
-/// removes the journal once the sweep completes.
-fn run_journaled_sweep(
-    matrix: &ScenarioMatrix,
-    engine: &ExperimentEngine,
-    jpath: &str,
-    resume: bool,
-    store_path: Option<&str>,
-) -> ScenarioSweep {
-    use rnuca_workloads::TraceArena;
-    let path = Path::new(jpath);
-    if !resume && path.exists() {
-        exit_with(&format!(
-            "journal {jpath} already exists — an earlier sweep was interrupted; \
-             pass --resume to continue it, or delete the journal to start over"
-        ));
-    }
-    if resume && !path.exists() {
-        exit_with(&format!(
-            "--resume: journal {jpath} does not exist (run once without --resume to create it)"
-        ));
-    }
-    let arena = TraceArena::new();
-    let snapshots = SnapshotArena::new();
-    let (sweep, resumed) = match store_path {
-        Some(spath) => {
-            let store = open_store(spath);
-            let (sweep, summary, resumed) = matrix
-                .run_forked_into_journaled(engine, &arena, &snapshots, path, resume, &store)
-                .unwrap_or_else(|e| exit_sweep_error(jpath, e));
-            save_store(&store, spath);
-            eprintln!(
-                "warehouse: {} new rows ({} deduplicated) -> {spath}",
-                summary.added, summary.deduplicated
-            );
-            (sweep, resumed)
-        }
-        None => matrix
-            .run_forked_journaled(engine, &arena, &snapshots, path, resume)
-            .unwrap_or_else(|e| exit_sweep_error(jpath, e)),
-    };
-    eprintln!(
-        "journal: replayed {} of {} jobs, ran {} -> {jpath}",
-        resumed.replayed,
-        resumed.replayed + resumed.ran,
-        resumed.ran
-    );
-    // A journal only matters while its sweep is incomplete; leaving it
-    // behind would make the next plain run error out for no reason.
-    std::fs::remove_file(path)
-        .unwrap_or_else(|e| exit_with(&format!("cannot remove completed journal {jpath}: {e}")));
-    eprintln!("journal: sweep complete, removed {jpath}");
-    sweep
-}
-
-/// `sweep --supervised`: the panic-quarantining sweep. One poisoned
-/// scenario gets `--retries` solo retries under seeded backoff and, if it
-/// still fails, a typed failure entry — in the JSON's `"failures"` array,
-/// in the journal (so `--resume` skips it instead of re-crashing), and as a
-/// `kind=failed` warehouse row with the failure text in the `failure`
-/// column.
-fn sweep_supervised(
     cfg: ExperimentConfig,
     engine: &ExperimentEngine,
     store_path: Option<&str>,
@@ -396,86 +296,60 @@ fn sweep_supervised(
     resume: bool,
     retries: u32,
 ) {
-    use rnuca_workloads::TraceArena;
     let matrix = rnuca_bench::default_sweep_matrix(cfg);
     let policy = RetryPolicy::immediate(retries).with_backoff(BackoffConfig::default_service());
-    let arena = TraceArena::new();
-    let snapshots = SnapshotArena::new();
-    let sweep = match journal {
-        Some(jpath) => {
-            let path = Path::new(jpath);
-            if !resume && path.exists() {
-                exit_with(&format!(
-                    "journal {jpath} already exists — an earlier sweep was interrupted; \
-                     pass --resume to continue it, or delete the journal to start over"
-                ));
-            }
-            if resume && !path.exists() {
-                exit_with(&format!(
-                    "--resume: journal {jpath} does not exist (run once without --resume to \
-                     create it)"
-                ));
-            }
-            let (sweep, resumed) = match store_path {
-                Some(spath) => {
-                    let store = open_store(spath);
-                    let (sweep, summary, resumed) = matrix
-                        .run_supervised_into_journaled(
-                            engine, &arena, &snapshots, path, resume, &policy, &store,
-                        )
-                        .unwrap_or_else(|e| exit_sweep_error(jpath, e));
-                    save_store(&store, spath);
-                    eprintln!(
-                        "warehouse: {} new rows ({} deduplicated) -> {spath}",
-                        summary.added, summary.deduplicated
-                    );
-                    (sweep, resumed)
-                }
-                None => matrix
-                    .run_supervised_journaled(engine, &arena, &snapshots, path, resume, &policy)
-                    .unwrap_or_else(|e| exit_sweep_error(jpath, e)),
-            };
-            eprintln!(
-                "journal: replayed {} of {} jobs, ran {} -> {jpath}",
-                resumed.replayed,
-                resumed.replayed + resumed.ran,
-                resumed.ran
-            );
-            // Every job has an outcome (a run or a quarantined failure), so
-            // the journal's work is done, exactly like the fail-fast path.
-            std::fs::remove_file(path).unwrap_or_else(|e| {
-                exit_with(&format!("cannot remove completed journal {jpath}: {e}"))
-            });
-            eprintln!("journal: sweep complete, removed {jpath}");
-            sweep
+    if let Some(jpath) = journal {
+        let exists = Path::new(jpath).exists();
+        if !resume && exists {
+            exit_with(&format!(
+                "journal {jpath} already exists — an earlier sweep was interrupted; \
+                 pass --resume to continue it, or delete the journal to start over"
+            ));
         }
-        None => {
-            let sweep = matrix
-                .run_supervised_forked(engine, &arena, &snapshots, retries)
-                .unwrap_or_else(|e| exit_with(&format!("sweep failed: {e}")));
-            if let Some(spath) = store_path {
-                let store = open_store(spath);
-                let jobs = matrix.jobs().expect("the default sweep axes are valid");
-                let records: Vec<_> = jobs
-                    .iter()
-                    .zip(&sweep.results)
-                    .map(|(job, result)| match result {
-                        Ok(r) => rnuca_sim::sweep_record(&matrix.cfg, &job.workload, r),
-                        Err(f) => rnuca_sim::failed_record(&matrix.cfg, job, f),
-                    })
-                    .collect();
-                let summary = store.append_all(&records);
-                save_store(&store, spath);
-                eprintln!(
-                    "warehouse: {} new rows ({} deduplicated) -> {spath}",
-                    summary.added, summary.deduplicated
-                );
-            }
-            sweep
+        if resume && !exists {
+            exit_with(&format!(
+                "--resume: journal {jpath} does not exist (run once without --resume to create it)"
+            ));
         }
-    };
+    }
+    let store = store_path.map(open_store);
+    let (sweep, resumed, appended) = matrix
+        .run(
+            engine,
+            &TraceArena::new(),
+            &SnapshotArena::new(),
+            &policy,
+            journal.map(|jpath| (Path::new(jpath), resume)),
+            store.as_ref(),
+        )
+        .unwrap_or_else(|e| exit_sweep_error(journal.unwrap_or_default(), e));
+    if let (Some(store), Some(spath), Some(summary)) = (&store, store_path, appended) {
+        save_store(store, spath);
+        eprintln!(
+            "warehouse: {} new rows ({} deduplicated) -> {spath}",
+            summary.added, summary.deduplicated
+        );
+    }
+    if let Some(jpath) = journal {
+        eprintln!(
+            "journal: replayed {} of {} jobs, ran {} -> {jpath}",
+            resumed.replayed,
+            resumed.replayed + resumed.ran,
+            resumed.ran
+        );
+        // Every job has an outcome (a run or a quarantined failure), so the
+        // journal's work is done; leaving it behind would make the next
+        // plain run error out for no reason.
+        std::fs::remove_file(jpath).unwrap_or_else(|e| {
+            exit_with(&format!("cannot remove completed journal {jpath}: {e}"))
+        });
+        eprintln!("journal: sweep complete, removed {jpath}");
+    }
     report_quarantined(&sweep);
     print!("{}", sweep.to_json());
+    if !sweep.failures().is_empty() {
+        std::process::exit(1);
+    }
 }
 
 /// Makes quarantined jobs loud on stderr (stdout stays pipeable JSON).
@@ -602,7 +476,7 @@ fn finish_reply(reply: std::io::Result<String>) {
     }
 }
 
-/// Renders a journaled-sweep failure and exits: corrupt journals get the
+/// Renders a sweep failure and exits: corrupt journals get the
 /// byte-offset diagnostic and exit code 3, stale journals an actionable
 /// hint, config errors the generic exit.
 fn exit_sweep_error(jpath: &str, e: SweepError) -> ! {
@@ -1142,7 +1016,7 @@ fn per_class_l2_table(c: &DesignComparison, class: AccessClass) {
 
 fn fig11(cfg: &ExperimentConfig, engine: &ExperimentEngine) {
     heading("Figure 11: CPI vs R-NUCA instruction-cluster size, normalised to size-1 clusters");
-    let sweep = DesignComparison::run_cluster_sweep_with(cfg, &[1, 2, 4, 8, 16], engine);
+    let sweep = DesignComparison::run_cluster_sweep(cfg, &[1, 2, 4, 8, 16], engine);
     let mut table = TextTable::new(vec![
         "workload",
         "size",

@@ -249,6 +249,11 @@ fn sweep_records(doc: &JsonValue) -> Result<Vec<RunRecord>, String> {
 
     let mut records = Vec::with_capacity(results.len());
     for (i, res) in results.iter().enumerate() {
+        // A quarantined job's slot is null: it has no run to ingest (the
+        // document's `failures` array says why).
+        if *res == JsonValue::Null {
+            continue;
+        }
         let ctx = format!("results[{i}]");
         let workload = string(res, "workload", &ctx)?;
         let letter = string(res, "letter", &ctx)?;
@@ -374,8 +379,9 @@ fn join_errors(errors: &[rnuca_warehouse::QueryError], source: &str) -> String {
 mod tests {
     use super::*;
     use crate::perf::{evaluate_gate, run_perf_scenarios, PerfScenario};
-    use rnuca_sim::{ExperimentEngine, LlcDesign};
-    use rnuca_workloads::WorkloadSpec;
+    use rnuca_sim::{ExperimentEngine, LlcDesign, SnapshotArena};
+    use rnuca_types::RetryPolicy;
+    use rnuca_workloads::{TraceArena, WorkloadSpec};
 
     fn tiny_report() -> PerfReport {
         let mut cfg = ExperimentConfig::smoke();
@@ -466,7 +472,16 @@ mod tests {
         let mut m = rnuca_sim::ScenarioMatrix::new(cfg);
         m.workloads = vec![WorkloadSpec::oltp_db2()];
         m.designs = vec![LlcDesign::Shared, LlcDesign::rnuca_default()];
-        let sweep = m.run_with(&ExperimentEngine::with_workers(1)).unwrap();
+        let (sweep, _, _) = m
+            .run(
+                &ExperimentEngine::with_workers(1),
+                &TraceArena::new(),
+                &SnapshotArena::new(),
+                &RetryPolicy::immediate(0),
+                None,
+                None,
+            )
+            .unwrap();
 
         let (records, kind) = records_from_json(&sweep.to_json()).expect("parses");
         assert_eq!(kind, IngestKind::Sweep);
@@ -482,6 +497,28 @@ mod tests {
             .expect("clean query");
         assert_eq!(out.rows.len(), 1);
         assert_eq!(out.rows[0][0].to_string(), "4");
+    }
+
+    #[test]
+    fn quarantined_slots_in_sweep_documents_are_skipped() {
+        // The shape `figures sweep` prints when a job was quarantined: a
+        // null results slot, and the failure listed under `failures`.
+        let doc = r#"{
+  "config": {"warmup_refs": 1500, "measured_refs": 1000, "seed": 42, "asr_best_of": false},
+  "results": [
+    null,
+    {"workload": "OLTP DB2", "design": "R-NUCA (cluster 4)", "letter": "R", "cores": 16, "slice_kb": 1024, "cluster": 4, "total_cpi": 2.5, "cpi": {"busy": 1, "l1_to_l1": 0.1, "l2": 0.4, "off_chip": 0.9, "other": 0.1, "reclassification": 0}, "off_chip_rate": 0.2, "l1_to_l1_rate": 0.01}
+  ],
+  "failures": [
+    {"job": 0, "attempts": 2, "cause": "panic", "message": "member exploded"}
+  ]
+}
+"#;
+        let (records, kind) = records_from_json(doc).expect("null slots are quarantined jobs");
+        assert_eq!(kind, IngestKind::Sweep);
+        assert_eq!(records.len(), 1, "only the completed job has a run");
+        assert_eq!(records[0].letter.as_deref(), Some("R"));
+        assert_eq!(records[0].cluster, Some(4));
     }
 
     #[test]

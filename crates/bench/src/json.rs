@@ -7,9 +7,9 @@
 //! prove they are well-formed. This module is a small recursive-descent
 //! parser covering exactly the JSON the workspace writes (objects, arrays,
 //! strings with the escapes [`crate`]'s emitters produce, numbers, booleans,
-//! null), plus [`json_string`], the one string escaper the crate's
-//! hand-rolled emitters share. Emission otherwise stays hand-rolled at the
-//! call sites so field order remains deterministic.
+//! null). Emission stays hand-rolled at the call sites, so field order
+//! remains deterministic, with strings escaped by the workspace's one
+//! [`rnuca_types::json_string`].
 //!
 //! Because ingested files can be stale, hand-edited, or truncated by a
 //! broken CI upload, the parser is strict and every failure is a
@@ -26,24 +26,6 @@ use std::fmt;
 /// levels; the cap exists so malformed input fails cleanly instead of
 /// overflowing the parser's recursion.
 pub const MAX_JSON_DEPTH: usize = 128;
-
-/// Quotes and escapes a string for embedding in an emitted JSON document
-/// (quotes, backslashes, control characters — the same convention the
-/// scenario sweep emitter uses).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 /// A JSON syntax error, positioned in the source text.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -397,6 +379,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rnuca_types::json_string;
 
     #[test]
     fn parses_scalars() {

@@ -35,12 +35,13 @@
 //! (timing zeroed) is byte-identical for every `--workers` value, which is
 //! the schema-stability property the tests pin down.
 
-use crate::json::{json_string, JsonValue};
+use crate::json::JsonValue;
 use rnuca_sim::{
     group_indices, AsrPolicy, ExperimentConfig, ExperimentEngine, FusedDriver, FusedGroupKey,
     GroupForks, LlcDesign, MeasuredRun, SnapshotArena, SnapshotKey,
 };
 use rnuca_types::config::ConfigPoint;
+use rnuca_types::json_string;
 use rnuca_workloads::{TraceArena, TraceKey, WorkloadSpec};
 use std::collections::HashSet;
 use std::time::Instant;

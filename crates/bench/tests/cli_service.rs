@@ -15,6 +15,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
+use rnuca_service::ServiceClient;
+
 /// The matrix both legs submit: oltp-db2 x {S, R} x {16, 32} cores — four
 /// jobs, so the sweep spans several journal appends the fail point can
 /// land between.
@@ -56,14 +58,13 @@ fn spawn_service(spool: &Path, store: &Path, failpoints: Option<&str>) -> Servic
         cmd.env("RNUCA_FAILPOINTS", plan);
     }
     let child = cmd.spawn().expect("the service spawns");
-    // The socket appears once the spool is scanned and the listener bound;
-    // from then on client verbs connect.
+    // The socket accepts once the spool is scanned and the listener bound;
+    // from then on client verbs connect. Wait for a connection, not for the
+    // file: a killed service leaves its socket file behind, which the
+    // restarted service must replace itself.
     let socket = spool.join("service.sock");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !socket.exists() {
-        assert!(Instant::now() < deadline, "service never bound its socket");
-        std::thread::sleep(Duration::from_millis(25));
-    }
+    ServiceClient::connect_with_retry(&socket, Duration::from_secs(30))
+        .expect("service never bound its socket");
     ServiceGuard(child)
 }
 

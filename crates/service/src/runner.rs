@@ -16,8 +16,15 @@
 //!
 //! Members of failed groups re-run solo under the submission's full retry
 //! policy (seeded backoff, deadline); jobs whose every attempt fails are
-//! journaled as typed failure entries, exactly like the library's
-//! `run_supervised_journaled`.
+//! journaled as typed failure entries, exactly like the library executor
+//! [`ScenarioMatrix::run`](rnuca_sim::ScenarioMatrix::run).
+//!
+//! Everything but that attempt loop is the executor's own code: the
+//! journal is opened or resumed by [`SweepJournal::open`] (fingerprint and
+//! job-count check), replayed entries are scattered by [`replay_results`],
+//! and the rows are built in job order by [`sweep_records`]. The loop stays
+//! separate because a deadline needs attempts that can be abandoned, which
+//! the executor's borrowed arenas cannot give.
 //!
 //! # The crash-resume and byte-identity invariant
 //!
@@ -33,12 +40,11 @@
 use crate::spool::Spool;
 use crate::state::{Claim, Registry, SubmissionState};
 use rnuca_sim::{
-    failed_record, group_indices, result_from, run_group_forked, sweep_record, ExperimentEngine,
-    JobFailure, JournalEntry, JournalFailure, JournalReplay, LlcDesign, ScenarioJob,
-    ScenarioResult, SnapshotArena, SweepJournal,
+    group_indices, replay_results, result_from, run_group_forked, sweep_records, ExperimentEngine,
+    JobFailure, LlcDesign, ScenarioJob, SnapshotArena, SweepJournal,
 };
 use rnuca_types::RetryPolicy;
-use rnuca_warehouse::{RunRecord, Warehouse};
+use rnuca_warehouse::Warehouse;
 use rnuca_workloads::{TraceArena, TraceKey, WorkloadSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -148,50 +154,16 @@ impl Runner {
         // is the fingerprint, so a mismatch here means spool tampering — a
         // hard error, never a silent re-run.
         let journal_path = self.spool.journal_path(&claim.id);
-        let (journal, journaled) = if journal_path.exists() {
-            let replay = JournalReplay::load(&journal_path).map_err(|e| format!("journal: {e}"))?;
-            if replay.fingerprint != fingerprint {
-                return Err(format!(
-                    "journal fingerprint {:016x} does not match the spec's matrix {:016x}",
-                    replay.fingerprint, fingerprint
-                ));
-            }
-            if replay.jobs as usize != jobs.len() {
-                return Err(format!(
-                    "journal covers {} jobs, the spec's matrix has {}",
-                    replay.jobs,
-                    jobs.len()
-                ));
-            }
-            let journal = SweepJournal::resume(&journal_path, &replay)
-                .map_err(|e| format!("journal: {e}"))?;
-            (journal, replay.entries)
-        } else {
-            let journal = SweepJournal::create(&journal_path, fingerprint, jobs.len() as u64)
-                .map_err(|e| format!("journal: {e}"))?;
-            (journal, vec![None; jobs.len()])
-        };
-
-        // Scatter replayed entries: completed jobs become results, failure
-        // entries stay quarantined (resume never re-crashes on them), and
-        // only entry-less jobs run.
-        let mut results: Vec<Option<Result<ScenarioResult, JobFailure>>> =
-            jobs.iter().map(|_| None).collect();
-        let mut pending: Vec<usize> = Vec::new();
-        for (i, entry) in journaled.into_iter().enumerate() {
-            match entry {
-                Some(JournalEntry::Run(run)) => results[i] = Some(Ok(result_from(&jobs[i], run))),
-                Some(JournalEntry::Failed(f)) => {
-                    results[i] = Some(Err(JobFailure {
-                        job: i,
-                        attempts: f.attempts,
-                        cause: f.cause,
-                        message: f.message,
-                    }));
-                }
-                None => pending.push(i),
-            }
-        }
+        let (journal, entries) = SweepJournal::open(
+            &journal_path,
+            journal_path.exists(),
+            fingerprint,
+            jobs.len(),
+        )
+        .map_err(|e| format!("journal: {e}"))?;
+        // Completed jobs become results, failure entries stay quarantined
+        // (resume never re-crashes on them), and only entry-less jobs run.
+        let (mut results, pending) = replay_results(&jobs, entries);
 
         if !pending.is_empty() {
             if claim.stop.load(Ordering::SeqCst) {
@@ -313,20 +285,14 @@ impl Runner {
                             results[*job_idx] = Some(Ok(result_from(job, run)));
                         }
                         Some(Err(failure)) => {
-                            journal
-                                .append_failure(
-                                    *job_idx,
-                                    &JournalFailure {
-                                        attempts: failure.attempts,
-                                        cause: failure.cause,
-                                        message: failure.message.clone(),
-                                    },
-                                )
-                                .map_err(|e| format!("journal append: {e}"))?;
-                            results[*job_idx] = Some(Err(JobFailure {
+                            let failure = JobFailure {
                                 job: *job_idx,
                                 ..failure
-                            }));
+                            };
+                            journal
+                                .append_failure(*job_idx, &(&failure).into())
+                                .map_err(|e| format!("journal append: {e}"))?;
+                            results[*job_idx] = Some(Err(failure));
                         }
                     }
                 }
@@ -335,30 +301,16 @@ impl Runner {
 
         // A stop between a chunk's launch and its last member leaves
         // unclaimed slots; only a fully-resolved sweep reaches the store.
-        if results.iter().any(Option::is_none) {
+        let Some(results) = results.into_iter().collect::<Option<Vec<_>>>() else {
             return Ok(Outcome::Stopped);
-        }
+        };
 
         // Completion: one batch of rows in job order, one atomic save, and
         // only then is the spool entry retired.
-        let mut completed = 0;
-        let mut failed = 0;
-        let records: Vec<RunRecord> = jobs
-            .iter()
-            .zip(&results)
-            .map(|(job, slot)| match slot.as_ref().expect("checked above") {
-                Ok(result) => {
-                    completed += 1;
-                    sweep_record(&cfg, &job.workload, result)
-                }
-                Err(failure) => {
-                    failed += 1;
-                    failed_record(&cfg, job, failure)
-                }
-            })
-            .collect();
+        let failed = results.iter().filter(|r| r.is_err()).count();
+        let completed = results.len() - failed;
         let store = Warehouse::open(&self.store_path).map_err(|e| format!("warehouse: {e}"))?;
-        store.append_all(&records);
+        store.append_all(&sweep_records(&cfg, &jobs, &results));
         store
             .save(&self.store_path)
             .map_err(|e| format!("warehouse save: {e}"))?;

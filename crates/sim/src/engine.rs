@@ -1,26 +1,32 @@
 //! The experiment engine: job-level parallel execution with deterministic results.
 //!
-//! Every evaluation in this crate — the P/A/S/R/I design comparison, the ASR
-//! best-of-six selection, the Figure 11 cluster sweep, and the scenario
-//! matrices of [`crate::scenario`] — reduces to the same shape: a flat list
-//! of independent simulation jobs whose results must be assembled in a fixed
+//! Every evaluation in this crate — the P/A/S/R/I design comparison with
+//! its ASR best-of-six, the Figure 11 cluster sweep, and any scenario
+//! matrix — runs through the one executor of [`crate::scenario`], which
+//! reduces it to flat lists of independent jobs (stream materializations,
+//! fused groups, solo re-runs) whose results must be assembled in a fixed
 //! order. [`ExperimentEngine`] runs such a list on a bounded worker pool.
-//! Workers claim jobs from a shared counter (so a long ASR run cannot
-//! serialise a whole workload behind it, the load imbalance the per-workload
-//! threading suffered from) and write each result into the slot indexed by
-//! its job, so the output is ordered by job index and **identical for every
-//! worker-pool size**.
+//! Workers claim jobs from a shared counter (so one long group cannot
+//! serialise the jobs queued behind it) and write each result into the slot
+//! indexed by its job, so the output is ordered by job index and
+//! **identical for every worker-pool size**.
 //!
-//! Two execution modes share that machinery:
+//! Three execution modes share that machinery:
 //!
 //! * [`ExperimentEngine::run`] — fail fast. The first panicking job stops
 //!   the pool and the *original* panic payload is re-raised on the caller's
 //!   thread (not a secondary poisoned-lock error, and not the anonymous
 //!   "a scoped thread panicked" that `std::thread::scope` would raise).
-//! * [`ExperimentEngine::run_supervised`] — quarantine. Every job runs in
-//!   [`std::panic::catch_unwind`] with a bounded number of retries; each
-//!   slot yields `Result<T, JobFailure>`, so one poisoned scenario becomes
-//!   a failure record while every other job still completes.
+//! * [`ExperimentEngine::run_supervised`] /
+//!   [`ExperimentEngine::run_supervised_policy`] — quarantine. Every job
+//!   runs in [`std::panic::catch_unwind`] with a bounded number of retries
+//!   (paced by a seeded backoff under a policy); each slot yields
+//!   `Result<T, JobFailure>`, so one poisoned scenario becomes a failure
+//!   record while every other job still completes. The scenario executor
+//!   runs its group and solo passes this way.
+//! * [`ExperimentEngine::run_supervised_detached`] — quarantine with
+//!   per-attempt deadlines, for the experiment service, whose attempts must
+//!   be abandonable.
 
 use std::any::Any;
 use std::fmt;

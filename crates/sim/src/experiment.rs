@@ -5,43 +5,28 @@
 //! data behind Figures 7-10 and 12. [`DesignComparison::run_cluster_sweep`]
 //! sweeps the R-NUCA instruction-cluster size for Figure 11.
 //!
-//! Both are thin wrappers over the [`ExperimentEngine`]: every
-//! `(workload, design, config-point)` combination becomes one job in a flat
-//! list executed on a bounded worker pool, so ASR's six versions of one
-//! workload run concurrently instead of serialising inside a per-workload
-//! thread, and the assembled results are identical for every worker count.
+//! Both are [`ScenarioMatrix`]s run through its one executor
+//! ([`ScenarioMatrix::run`]): the evaluation is the suite under
+//! `[P, ASR variants…, S, R, I]`, the cluster sweep the suite under `[R]`
+//! with one cluster size per axis point. Each workload's designs therefore
+//! form one fused group: its stream is materialized once, each warm-up
+//! class is warmed once (all six ASR variants fork from one checkpoint),
+//! and every design steps the shared stream in a single measured pass.
+//! The assembled results are identical for every worker count.
 //!
-//! Jobs resolve their reference streams through a shared
-//! [`TraceArena`]: the evaluation pre-populates the unique
-//! `(workload, geometry, seed)` streams in parallel, then every job — all
-//! five designs, and all six ASR variants of a workload — replays the one
-//! memoized slab instead of regenerating the stream. Replay is bit-identical
-//! to streaming generation (the golden-result tests pin this), so the arena
+//! [`DesignComparison::run_single`] and [`DesignComparison::run_workload`]
+//! are the streamed oracle: each design warms and measures over its own
+//! freshly generated stream, with no arena, checkpoint, or fusion. Forks,
+//! arena replay, and fusion are all bit-identical to it (the golden,
+//! snapshot, and fused differential suites pin this), so the executor
 //! changes wall-clock time only.
-//!
-//! Warm-up is deduplicated the same way through a
-//! [`SnapshotArena`]: each unique warmed state — one per
-//! `(workload, warm-up class, seed, warm-up length)` — is warmed once, and
-//! every job *forks* from the checkpoint (a clone of the warmed simulator)
-//! instead of re-driving the warm-up prefix. Forks are bit-identical to
-//! streamed warm-up (the differential suite pins this), so checkpoints,
-//! like the trace arena, change wall-clock time only. The big winner is ASR
-//! best-of-six: all six variants fork from one checkpoint, so the sweep
-//! warms once.
-//!
-//! Measurement itself is *fused* (see [`crate::fused`]): the designs
-//! comparing one workload form a single fused group that steps every design
-//! instance per shared 4096-reference batch, so a comparison consumes the
-//! stream in one pass instead of one pass per design. The engine's unit of
-//! work is therefore one fused group — per workload, not per design — and
-//! each group still emits the bit-identical per-design [`MeasuredRun`]s the
-//! independent jobs produced.
 
 use crate::design::{AsrPolicy, LlcDesign};
 use crate::engine::ExperimentEngine;
-use crate::fused::run_fused_forked;
+use crate::scenario::{ScenarioMatrix, ScenarioResult};
 use crate::simulator::{CmpSimulator, MeasuredRun};
 use crate::snapshot::SnapshotArena;
+use rnuca_types::retry::RetryPolicy;
 use rnuca_workloads::{TraceArena, TraceGenerator, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
@@ -205,7 +190,8 @@ pub struct DesignComparison {
 }
 
 impl DesignComparison {
-    /// Runs one workload under one design.
+    /// Runs one workload under one design, streamed: the oracle every
+    /// faster path is checked against.
     ///
     /// The experiment seed drives both the trace generator and the
     /// simulator's internal RNG, so ASR's probabilistic replication varies
@@ -215,59 +201,6 @@ impl DesignComparison {
         let mut sim = CmpSimulator::with_seed(design, spec, cfg.seed);
         sim.run_warmup(&mut gen, cfg.warmup_refs);
         let run = sim.run_measured(&mut gen, cfg.measured_refs);
-        RunResult {
-            workload: spec.name.clone(),
-            design,
-            run,
-        }
-    }
-
-    /// [`Self::run_single`] replaying the workload's stream from `arena`
-    /// instead of regenerating it. The result is bit-identical to the
-    /// streaming path; the stream is generated at most once per unique
-    /// `(workload, geometry, seed)` key no matter how many designs run it.
-    pub fn run_single_with_arena(
-        spec: &WorkloadSpec,
-        design: LlcDesign,
-        cfg: &ExperimentConfig,
-        arena: &TraceArena,
-    ) -> RunResult {
-        let mut slice = arena.slice(spec, cfg.seed, cfg.total_refs());
-        let mut sim = CmpSimulator::with_seed(design, spec, cfg.seed);
-        sim.run_warmup(&mut slice, cfg.warmup_refs);
-        let run = sim.run_measured(&mut slice, cfg.measured_refs);
-        RunResult {
-            workload: spec.name.clone(),
-            design,
-            run,
-        }
-    }
-
-    /// [`Self::run_single_with_arena`] forking the warmed state from
-    /// `snapshots` instead of re-driving the warm-up prefix: the checkpoint
-    /// is built on first request (and shared by every design in its warm-up
-    /// class), the fork clones it bit-for-bit, and the measured phase
-    /// replays the arena stream from directly after the warm-up prefix. The
-    /// result is bit-identical to the warm-then-measure paths.
-    pub fn run_single_forked(
-        spec: &WorkloadSpec,
-        design: LlcDesign,
-        cfg: &ExperimentConfig,
-        traces: &TraceArena,
-        snapshots: &SnapshotArena,
-    ) -> RunResult {
-        let snap = snapshots.snapshot(
-            traces,
-            design,
-            spec,
-            cfg.seed,
-            cfg.warmup_refs,
-            cfg.total_refs(),
-        );
-        let mut sim = snap.fork(design, spec);
-        let mut slice = traces.slice(spec, cfg.seed, cfg.total_refs());
-        slice.skip(cfg.warmup_refs);
-        let run = sim.run_measured(&mut slice, cfg.measured_refs);
         RunResult {
             workload: spec.name.clone(),
             design,
@@ -300,82 +233,17 @@ impl DesignComparison {
             .expect("at least one ASR version exists")
     }
 
-    /// Runs the ASR design, optionally taking the best of its six versions
-    /// (the paper reports the highest-performing version per workload).
-    pub fn run_asr(spec: &WorkloadSpec, cfg: &ExperimentConfig) -> RunResult {
-        Self::run_asr_with(spec, cfg, &ExperimentEngine::new())
-    }
-
-    /// [`Self::run_asr`] on an explicit engine: the six versions are
-    /// independent jobs, so best-of-six costs one version's wall-clock time.
-    /// The versions share one arena slab — the workload's stream is
-    /// generated once, not six times.
-    pub fn run_asr_with(
-        spec: &WorkloadSpec,
-        cfg: &ExperimentConfig,
-        engine: &ExperimentEngine,
-    ) -> RunResult {
-        Self::run_asr_with_arena(spec, cfg, engine, &TraceArena::new())
-    }
-
-    /// [`Self::run_asr_with`] resolving every variant through `arena`. All
-    /// six ASR versions of one `(workload, config-point)` replay the same
-    /// memoized slab and fork from one warmed checkpoint: the stream is
-    /// materialized once and the warm-up runs once, no matter how many
-    /// variants the sweep compares.
-    pub fn run_asr_with_arena(
-        spec: &WorkloadSpec,
-        cfg: &ExperimentConfig,
-        engine: &ExperimentEngine,
-        arena: &TraceArena,
-    ) -> RunResult {
-        Self::run_asr_forked(spec, cfg, engine, arena, &SnapshotArena::new())
-    }
-
-    /// [`Self::run_asr_with_arena`] forking every variant from an explicit
-    /// `snapshots` arena (exposed so callers can share checkpoints across
-    /// experiments and inspect deduplication): the six ASR versions share
-    /// one warm-up class, so the checkpoint is warmed exactly once — and the
-    /// variants then run as one *fused group*, all six stepping each shared
-    /// trace batch in a single pass over the stream. The engine parameter is
-    /// kept for signature continuity; a fused best-of-six is one unit of
-    /// work, so there are no per-variant jobs left to spread over workers.
-    pub fn run_asr_forked(
-        spec: &WorkloadSpec,
-        cfg: &ExperimentConfig,
-        _engine: &ExperimentEngine,
-        traces: &TraceArena,
-        snapshots: &SnapshotArena,
-    ) -> RunResult {
-        traces.populate(spec, cfg.seed, cfg.total_refs());
-        let variants = Self::asr_variants(cfg);
-        snapshots.populate(
-            traces,
-            variants[0],
-            spec,
-            cfg.seed,
-            cfg.warmup_refs,
-            cfg.total_refs(),
-        );
-        let runs = run_fused_forked(spec, &variants, cfg, traces, snapshots);
-        Self::best_asr(
-            variants
-                .iter()
-                .zip(runs)
-                .map(|(&design, run)| RunResult {
-                    workload: spec.name.clone(),
-                    design,
-                    run,
-                })
-                .collect(),
-        )
-    }
-
-    /// Runs one workload under the P/A/S/R/I design set, serially (the
-    /// reference path the flattened evaluation is tested against).
+    /// Runs one workload under the P/A/S/R/I design set, serially and
+    /// streamed through [`Self::run_single`] (ASR's best-of too): the
+    /// reference path the evaluation is tested against.
     pub fn run_workload(spec: &WorkloadSpec, cfg: &ExperimentConfig) -> WorkloadResults {
         let private = Self::run_single(spec, LlcDesign::Private, cfg);
-        let asr = Self::run_asr_with(spec, cfg, &ExperimentEngine::with_workers(1));
+        let asr = Self::best_asr(
+            Self::asr_variants(cfg)
+                .into_iter()
+                .map(|design| Self::run_single(spec, design, cfg))
+                .collect(),
+        );
         let shared = Self::run_single(spec, LlcDesign::Shared, cfg);
         let rnuca = Self::run_single(spec, LlcDesign::rnuca_default(), cfg);
         let ideal = Self::run_single(spec, LlcDesign::Ideal, cfg);
@@ -398,119 +266,72 @@ impl DesignComparison {
         }
     }
 
-    /// Runs the full evaluation suite on a default-sized engine.
-    pub fn run_evaluation(cfg: &ExperimentConfig) -> DesignComparison {
-        Self::run_evaluation_with(cfg, &ExperimentEngine::new())
-    }
-
-    /// [`Self::run_evaluation`] on an explicit engine.
-    ///
-    /// Every `(workload, design variant)` pair — including each ASR version —
-    /// is one job, so the pool balances across the whole evaluation instead
-    /// of per workload. The assembled comparison is identical to running
-    /// [`Self::run_workload`] sequentially over the suite, for every worker
-    /// count.
-    pub fn run_evaluation_with(
-        cfg: &ExperimentConfig,
-        engine: &ExperimentEngine,
-    ) -> DesignComparison {
-        Self::run_evaluation_with_arena(cfg, engine, &TraceArena::new())
-    }
-
-    /// [`Self::run_evaluation_with`] resolving jobs through an explicit
-    /// `arena` (exposed so callers can share streams across evaluations and
-    /// inspect deduplication).
-    ///
-    /// The unique streams — one per workload at one seed — are pre-populated
-    /// in parallel on the engine, then all design jobs (five designs plus
-    /// the ASR variants, i.e. up to ten jobs per workload) replay them.
-    pub fn run_evaluation_with_arena(
-        cfg: &ExperimentConfig,
-        engine: &ExperimentEngine,
-        arena: &TraceArena,
-    ) -> DesignComparison {
-        Self::run_evaluation_forked(cfg, engine, arena, &SnapshotArena::new())
-    }
-
-    /// [`Self::run_evaluation_with_arena`] forking every design from an
-    /// explicit `snapshots` arena. The unique checkpoints — one per
-    /// `(workload, warm-up class)` at one seed, so five per workload with
-    /// the six ASR variants collapsed onto one — are pre-warmed in parallel
-    /// on the engine; each workload's designs then run as one fused group
-    /// (fork every member + a single shared measured pass), so the engine's
-    /// jobs are workloads and each workload's stream is walked once.
-    pub fn run_evaluation_forked(
-        cfg: &ExperimentConfig,
-        engine: &ExperimentEngine,
-        arena: &TraceArena,
-        snapshots: &SnapshotArena,
-    ) -> DesignComparison {
-        let specs = WorkloadSpec::evaluation_suite();
-        engine.run(&specs, |_, spec| {
-            arena.populate(spec, cfg.seed, cfg.total_refs())
-        });
-        let warm_jobs: Vec<(usize, LlcDesign)> = specs
-            .iter()
-            .enumerate()
-            .flat_map(|(i, _)| {
-                [
-                    (i, LlcDesign::Private),
-                    (
-                        i,
-                        LlcDesign::Asr {
-                            policy: AsrPolicy::Adaptive,
-                        },
-                    ),
-                    (i, LlcDesign::Shared),
-                    (i, LlcDesign::rnuca_default()),
-                    (i, LlcDesign::Ideal),
-                ]
-            })
-            .collect();
-        engine.run(&warm_jobs, |_, &(i, design)| {
-            snapshots.populate(
-                arena,
-                design,
-                &specs[i],
-                cfg.seed,
-                cfg.warmup_refs,
-                cfg.total_refs(),
-            )
-        });
-        let asr_variants = Self::asr_variants(cfg);
-        // Per workload one *fused group*: P, the ASR variants, then S, R, I
-        // step every shared trace batch in a single pass over the stream.
-        // The group's member order matches the assembly below.
-        let group: Vec<LlcDesign> = std::iter::once(LlcDesign::Private)
-            .chain(asr_variants.iter().copied())
+    /// The evaluation as a matrix: the suite under P, the ASR variants,
+    /// then S, R, I. Each workload's jobs form one fused group, in the
+    /// member order [`Self::run_evaluation`] assembles.
+    fn evaluation_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
+        let mut matrix = ScenarioMatrix::new(*cfg);
+        matrix.workloads = WorkloadSpec::evaluation_suite();
+        matrix.designs = std::iter::once(LlcDesign::Private)
+            .chain(Self::asr_variants(cfg))
             .chain([
                 LlcDesign::Shared,
                 LlcDesign::rnuca_default(),
                 LlcDesign::Ideal,
             ])
             .collect();
-        let fused = engine.run(&specs, |_, spec| {
-            run_fused_forked(spec, &group, cfg, arena, snapshots)
-        });
+        matrix
+    }
 
-        let workloads = specs
+    /// Runs `matrix` through the executor with fresh arenas and no retries,
+    /// returning every job's result in job order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any job failed: a comparison with a hole in it is not a
+    /// result.
+    fn run_matrix(matrix: &ScenarioMatrix, engine: &ExperimentEngine) -> Vec<ScenarioResult> {
+        let (sweep, _, _) = matrix
+            .run(
+                engine,
+                &TraceArena::new(),
+                &SnapshotArena::new(),
+                &RetryPolicy::immediate(0),
+                None,
+                None,
+            )
+            .expect("the evaluation matrices have valid axes");
+        sweep
+            .results
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|failure| panic!("evaluation {failure}")))
+            .collect()
+    }
+
+    /// Runs the full evaluation suite on `engine`.
+    ///
+    /// The assembled comparison equals running [`Self::run_workload`]
+    /// sequentially over the suite, for every worker count.
+    pub fn run_evaluation(cfg: &ExperimentConfig, engine: &ExperimentEngine) -> DesignComparison {
+        let matrix = Self::evaluation_matrix(cfg);
+        let per_workload = matrix.designs.len();
+        let asr_variants = per_workload - 4;
+        let results = Self::run_matrix(&matrix, engine);
+        let workloads = matrix
+            .workloads
             .iter()
-            .zip(fused)
+            .zip(results.chunks(per_workload))
             .map(|(spec, runs)| {
-                let mut results = group.iter().zip(runs).map(|(&design, run)| RunResult {
-                    workload: spec.name.clone(),
-                    design,
-                    run,
+                let mut members = runs.iter().map(|r| RunResult {
+                    workload: r.workload.clone(),
+                    design: r.design,
+                    run: r.run,
                 });
-                let private = results.next().expect("private member ran");
-                let asr = Self::best_asr(
-                    (0..asr_variants.len())
-                        .map(|_| results.next().expect("ASR member ran"))
-                        .collect(),
-                );
-                let shared = results.next().expect("shared member ran");
-                let rnuca = results.next().expect("R-NUCA member ran");
-                let ideal = results.next().expect("ideal member ran");
+                let private = members.next().expect("private member ran");
+                let asr = Self::best_asr(members.by_ref().take(asr_variants).collect());
+                let shared = members.next().expect("shared member ran");
+                let rnuca = members.next().expect("R-NUCA member ran");
+                let ideal = members.next().expect("ideal member ran");
                 Self::assemble_workload(spec, private, asr, shared, rnuca, ideal)
             })
             .collect();
@@ -518,92 +339,42 @@ impl DesignComparison {
     }
 
     /// Sweeps the R-NUCA instruction-cluster size over `sizes` for every
-    /// workload (Figure 11). Returns, per workload, one result per size.
+    /// workload (Figure 11) on `engine`. Returns, per workload, one result
+    /// per size, skipping sizes that exceed its core count (or are not
+    /// powers of two). An empty `sizes` gives every workload an empty row.
+    ///
+    /// The sizes of one workload share its stream, so they form one fused
+    /// group; each size warms its own checkpoint, because cluster size
+    /// changes where warm-up places instruction blocks.
     pub fn run_cluster_sweep(
-        cfg: &ExperimentConfig,
-        sizes: &[usize],
-    ) -> Vec<(String, Vec<(usize, MeasuredRun)>)> {
-        Self::run_cluster_sweep_with(cfg, sizes, &ExperimentEngine::new())
-    }
-
-    /// [`Self::run_cluster_sweep`] on an explicit engine. Sizes exceeding a
-    /// workload's core count are skipped. Every size of one workload replays
-    /// the same arena slab — the cluster size never changes the reference
-    /// stream — so each workload's sizes form one fused group: the sizes
-    /// fork from their own checkpoints (cluster size changes where warm-up
-    /// places instruction blocks, so sizes warm separately; the checkpoints
-    /// are pre-warmed in parallel) and then step every shared batch in a
-    /// single pass over the workload's stream.
-    pub fn run_cluster_sweep_with(
         cfg: &ExperimentConfig,
         sizes: &[usize],
         engine: &ExperimentEngine,
     ) -> Vec<(String, Vec<(usize, MeasuredRun)>)> {
-        let specs = WorkloadSpec::evaluation_suite();
-        let arena = TraceArena::new();
-        let snapshots = SnapshotArena::new();
-        engine.run(&specs, |_, spec| {
-            arena.populate(spec, cfg.seed, cfg.total_refs())
-        });
-        let jobs: Vec<(usize, usize)> = specs
-            .iter()
-            .enumerate()
-            .flat_map(|(i, spec)| {
-                sizes
-                    .iter()
-                    .copied()
-                    .filter(|&s| s <= spec.num_cores())
-                    .map(move |s| (i, s))
-            })
-            .collect();
-        engine.run(&jobs, |_, &(i, size)| {
-            snapshots.populate(
-                &arena,
-                LlcDesign::RNuca {
-                    instr_cluster_size: size,
-                },
-                &specs[i],
-                cfg.seed,
-                cfg.warmup_refs,
-                cfg.total_refs(),
-            )
-        });
-        let groups: Vec<(usize, Vec<usize>)> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                (
-                    i,
-                    sizes
-                        .iter()
-                        .copied()
-                        .filter(|&s| s <= spec.num_cores())
-                        .collect(),
-                )
-            })
-            .filter(|(_, sizes): &(usize, Vec<usize>)| !sizes.is_empty())
-            .collect();
-        let results = engine.run(&groups, |_, (i, group_sizes)| {
-            let designs: Vec<LlcDesign> = group_sizes
-                .iter()
-                .map(|&size| LlcDesign::RNuca {
-                    instr_cluster_size: size,
-                })
-                .collect();
-            let runs = run_fused_forked(&specs[*i], &designs, cfg, &arena, &snapshots);
-            group_sizes
-                .iter()
-                .zip(runs)
-                .map(|(&size, run)| (size, run))
-                .collect::<Vec<_>>()
-        });
-
-        let mut rows: Vec<(String, Vec<(usize, MeasuredRun)>)> = specs
+        let mut matrix = ScenarioMatrix::new(*cfg);
+        matrix.workloads = WorkloadSpec::evaluation_suite();
+        matrix.designs = vec![LlcDesign::rnuca_default()];
+        matrix.cluster_sizes = sizes.to_vec();
+        let mut rows: Vec<(String, Vec<(usize, MeasuredRun)>)> = matrix
+            .workloads
             .iter()
             .map(|spec| (spec.name.clone(), Vec::new()))
             .collect();
-        for ((i, _), group_rows) in groups.iter().zip(results) {
-            rows[*i].1.extend(group_rows);
+        // An empty axis means "the design's own size" to a matrix; here it
+        // means no sizes at all.
+        if sizes.is_empty() {
+            return rows;
+        }
+        for r in Self::run_matrix(&matrix, engine) {
+            let size = r
+                .point
+                .instr_cluster_size
+                .expect("R-NUCA jobs record their cluster size");
+            let row = rows
+                .iter_mut()
+                .find(|(name, _)| *name == r.workload)
+                .expect("every result names a suite workload");
+            row.1.push((size, r.run));
         }
         rows
     }
@@ -651,6 +422,37 @@ impl DesignComparison {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::QuarantinedSweep;
+
+    /// Runs `matrix` through the executor over explicit arenas.
+    fn run_over(
+        matrix: &ScenarioMatrix,
+        workers: usize,
+        traces: &TraceArena,
+        snapshots: &SnapshotArena,
+    ) -> QuarantinedSweep {
+        let (sweep, _, _) = matrix
+            .run(
+                &ExperimentEngine::with_workers(workers),
+                traces,
+                snapshots,
+                &RetryPolicy::immediate(0),
+                None,
+                None,
+            )
+            .expect("the matrix is valid");
+        assert!(sweep.failures().is_empty());
+        sweep
+    }
+
+    /// One workload under ASR best-of-six, as the evaluation runs it.
+    fn asr_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
+        let mut matrix = ScenarioMatrix::new(*cfg);
+        matrix.workloads = vec![WorkloadSpec::oltp_db2()];
+        matrix.designs = DesignComparison::asr_variants(cfg);
+        assert_eq!(matrix.designs.len(), 6);
+        matrix
+    }
 
     #[test]
     fn run_single_produces_named_result() {
@@ -691,71 +493,41 @@ mod tests {
         cfg.asr_best_of = true;
         cfg.warmup_refs = 10_000;
         cfg.measured_refs = 8_000;
-        let best = DesignComparison::run_asr(&spec, &cfg);
-        // The best-of result can be no slower than the adaptive version alone.
-        let adaptive = DesignComparison::run_single(
-            &spec,
-            LlcDesign::Asr {
-                policy: AsrPolicy::Adaptive,
-            },
-            &cfg,
-        );
-        assert!(best.total_cpi() <= adaptive.total_cpi() + 1e-9);
-    }
-
-    #[test]
-    fn run_single_with_arena_matches_the_streaming_path() {
-        let cfg = ExperimentConfig::quick();
-        let arena = TraceArena::new();
-        for design in [
-            LlcDesign::Private,
-            LlcDesign::Shared,
-            LlcDesign::rnuca_default(),
-        ] {
-            let spec = WorkloadSpec::oltp_db2();
-            assert_eq!(
-                DesignComparison::run_single_with_arena(&spec, design, &cfg, &arena),
-                DesignComparison::run_single(&spec, design, &cfg),
-            );
+        let w = DesignComparison::run_workload(&spec, &cfg);
+        let best = w.by_letter("A").expect("the ASR slot is filled");
+        // The best-of result can be no slower than any single version.
+        for design in DesignComparison::asr_variants(&cfg) {
+            let version = DesignComparison::run_single(&spec, design, &cfg);
+            assert!(best.total_cpi() <= version.total_cpi() + 1e-9, "{design}");
         }
-        assert_eq!(arena.len(), 1, "one workload, one stream");
     }
 
     #[test]
     fn asr_best_of_six_shares_one_arena_slab() {
-        // Satellite acceptance: all six ASR variants of one
-        // (workload, config-point) resolve to the same slab — the stream is
-        // generated exactly once, not six times.
-        let spec = WorkloadSpec::oltp_db2();
+        // All six ASR variants of one (workload, config-point) resolve to
+        // the same slab — the stream is generated exactly once, not six
+        // times.
         let mut cfg = ExperimentConfig::smoke();
         cfg.asr_best_of = true;
         let arena = TraceArena::new();
-        let best = DesignComparison::run_asr_with_arena(
-            &spec,
-            &cfg,
-            &ExperimentEngine::with_workers(4),
-            &arena,
-        );
-        assert_eq!(best.design.letter(), "A");
+        let sweep = run_over(&asr_matrix(&cfg), 4, &arena, &SnapshotArena::new());
+        assert_eq!(sweep.completed(), 6);
         assert_eq!(arena.len(), 1, "six variants, one unique key");
         assert_eq!(arena.generations(), 1, "the stream was generated once");
     }
 
     #[test]
     fn full_evaluation_holds_one_arena_entry_per_unique_key() {
-        // Satellite acceptance: after a full experiment (ASR best-of-six
-        // included), the arena holds exactly one entry per unique
-        // (workload, geometry, seed) key — the eight suite workloads — and
-        // generated each exactly once despite ~10 design jobs per workload.
+        // After a full evaluation (ASR best-of-six included), the arena
+        // holds exactly one entry per unique (workload, geometry, seed) key
+        // — the eight suite workloads — and generated each exactly once
+        // despite ~10 design jobs per workload.
         let mut cfg = ExperimentConfig::smoke();
         cfg.asr_best_of = true;
         let arena = TraceArena::new();
-        let comparison = DesignComparison::run_evaluation_with_arena(
-            &cfg,
-            &ExperimentEngine::with_workers(4),
-            &arena,
-        );
-        assert_eq!(comparison.workloads.len(), 8);
+        let matrix = DesignComparison::evaluation_matrix(&cfg);
+        let sweep = run_over(&matrix, 4, &arena, &SnapshotArena::new());
+        assert_eq!(sweep.completed(), 8 * 10);
         assert_eq!(arena.len(), WorkloadSpec::evaluation_suite().len());
         assert_eq!(arena.generations(), arena.len());
     }
@@ -763,41 +535,37 @@ mod tests {
     #[test]
     fn forked_run_matches_the_streaming_path_for_every_design() {
         // The snapshot subsystem's core contract at the experiment level:
-        // fork + measure equals warm + measure, bit for bit, per design.
+        // fork + measure over arena replay equals streamed warm + measure,
+        // bit for bit, per design.
         let cfg = ExperimentConfig::quick();
+        let mut matrix = ScenarioMatrix::new(cfg);
+        matrix.workloads = vec![WorkloadSpec::oltp_db2()];
+        matrix.designs = LlcDesign::speedup_set();
         let traces = TraceArena::new();
-        let snapshots = SnapshotArena::new();
-        for design in LlcDesign::speedup_set() {
-            let spec = WorkloadSpec::oltp_db2();
+        let sweep = run_over(&matrix, 2, &traces, &SnapshotArena::new());
+        for r in sweep.results.iter().flatten() {
             assert_eq!(
-                DesignComparison::run_single_forked(&spec, design, &cfg, &traces, &snapshots),
-                DesignComparison::run_single(&spec, design, &cfg),
-                "{design} fork must match streamed warm-up"
+                r.run,
+                DesignComparison::run_single(&matrix.workloads[0], r.design, &cfg).run,
+                "{} fork must match streamed warm-up",
+                r.design
             );
         }
+        assert_eq!(sweep.results.len(), matrix.designs.len());
         assert_eq!(traces.len(), 1, "one workload, one stream");
     }
 
     #[test]
     fn asr_best_of_six_forks_from_one_snapshot() {
-        // Satellite acceptance: the six ASR variants share one warm-up
-        // class, so the best-of-six sweep warms exactly once and every
-        // variant forks from the same checkpoint.
-        let spec = WorkloadSpec::oltp_db2();
+        // The six ASR variants share one warm-up class, so the best-of-six
+        // sweep warms exactly once and every variant forks from the same
+        // checkpoint, which the group consumes.
         let mut cfg = ExperimentConfig::smoke();
         cfg.asr_best_of = true;
         let traces = TraceArena::new();
         let snapshots = SnapshotArena::new();
-        let best = DesignComparison::run_asr_forked(
-            &spec,
-            &cfg,
-            &ExperimentEngine::with_workers(4),
-            &traces,
-            &snapshots,
-        );
-        assert_eq!(best.design.letter(), "A");
+        run_over(&asr_matrix(&cfg), 4, &traces, &snapshots);
         assert_eq!(snapshots.warmups(), 1, "six variants, one warm-up class");
-        assert_eq!(snapshots.generations(), 1, "the warm-up ran exactly once");
         assert!(snapshots.is_empty(), "the last variant took the checkpoint");
         assert_eq!(traces.generations(), 1, "the stream was generated once");
     }
@@ -812,29 +580,23 @@ mod tests {
         cfg.asr_best_of = true;
         let traces = TraceArena::new();
         let snapshots = SnapshotArena::new();
-        let comparison = DesignComparison::run_evaluation_forked(
-            &cfg,
-            &ExperimentEngine::with_workers(4),
-            &traces,
-            &snapshots,
-        );
-        assert_eq!(comparison.workloads.len(), 8);
+        let matrix = DesignComparison::evaluation_matrix(&cfg);
+        run_over(&matrix, 4, &traces, &snapshots);
         assert_eq!(
             snapshots.warmups(),
             8 * 5,
             "five warm-up classes per workload"
         );
-        assert_eq!(snapshots.generations(), snapshots.warmups());
         assert!(snapshots.is_empty(), "every group took its checkpoints");
     }
 
     #[test]
     fn engine_evaluation_matches_the_per_workload_path() {
-        // Acceptance criterion: the flattened job-level evaluation assembles
-        // exactly the comparison the per-workload path produces on quick().
+        // Acceptance criterion: the matrix-run evaluation assembles exactly
+        // the comparison the streamed per-workload path produces on quick().
         let cfg = ExperimentConfig::quick();
         let engine = ExperimentEngine::with_workers(4);
-        let flattened = DesignComparison::run_evaluation_with(&cfg, &engine);
+        let flattened = DesignComparison::run_evaluation(&cfg, &engine);
         let per_workload: Vec<WorkloadResults> = WorkloadSpec::evaluation_suite()
             .iter()
             .map(|spec| DesignComparison::run_workload(spec, &cfg))
@@ -847,11 +609,9 @@ mod tests {
         let mut cfg = ExperimentConfig::quick();
         cfg.warmup_refs = 5_000;
         cfg.measured_refs = 4_000;
-        cfg.asr_best_of = true; // exercise the flattened best-of-six jobs
-        let serial =
-            DesignComparison::run_evaluation_with(&cfg, &ExperimentEngine::with_workers(1));
-        let pooled =
-            DesignComparison::run_evaluation_with(&cfg, &ExperimentEngine::with_workers(8));
+        cfg.asr_best_of = true; // exercise the best-of-six members
+        let serial = DesignComparison::run_evaluation(&cfg, &ExperimentEngine::with_workers(1));
+        let pooled = DesignComparison::run_evaluation(&cfg, &ExperimentEngine::with_workers(8));
         assert_eq!(serial, pooled);
     }
 
@@ -860,16 +620,10 @@ mod tests {
         let mut cfg = ExperimentConfig::quick();
         cfg.warmup_refs = 3_000;
         cfg.measured_refs = 2_000;
-        let serial = DesignComparison::run_cluster_sweep_with(
-            &cfg,
-            &[1, 4],
-            &ExperimentEngine::with_workers(1),
-        );
-        let pooled = DesignComparison::run_cluster_sweep_with(
-            &cfg,
-            &[1, 4],
-            &ExperimentEngine::with_workers(6),
-        );
+        let serial =
+            DesignComparison::run_cluster_sweep(&cfg, &[1, 4], &ExperimentEngine::with_workers(1));
+        let pooled =
+            DesignComparison::run_cluster_sweep(&cfg, &[1, 4], &ExperimentEngine::with_workers(6));
         assert_eq!(serial, pooled);
     }
 
@@ -878,7 +632,8 @@ mod tests {
         let mut cfg = ExperimentConfig::quick();
         cfg.warmup_refs = 5_000;
         cfg.measured_refs = 5_000;
-        let sweep = DesignComparison::run_cluster_sweep(&cfg, &[1, 4]);
+        let sweep =
+            DesignComparison::run_cluster_sweep(&cfg, &[1, 4], &ExperimentEngine::with_workers(2));
         assert_eq!(sweep.len(), WorkloadSpec::evaluation_suite().len());
         for (name, rows) in &sweep {
             assert!(!name.is_empty());
@@ -886,5 +641,16 @@ mod tests {
             assert_eq!(rows[0].0, 1);
             assert_eq!(rows[1].0, 4);
         }
+    }
+
+    #[test]
+    fn cluster_sweep_over_no_sizes_returns_empty_rows() {
+        let sweep = DesignComparison::run_cluster_sweep(
+            &ExperimentConfig::quick(),
+            &[],
+            &ExperimentEngine::with_workers(1),
+        );
+        assert_eq!(sweep.len(), WorkloadSpec::evaluation_suite().len());
+        assert!(sweep.iter().all(|(_, rows)| rows.is_empty()));
     }
 }

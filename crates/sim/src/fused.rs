@@ -268,10 +268,9 @@ impl<'a> GroupForks<'a> {
 ///
 /// Members may carry different specs as long as all resolve to one
 /// [`TraceKey`] (slice capacity and latencies are deliberately outside the
-/// key); each member forks its own spec's checkpoint, so warm-up state is
-/// exactly what the independent [`run_single_forked`] path forks.
-///
-/// [`run_single_forked`]: crate::experiment::DesignComparison::run_single_forked
+/// key); each member forks its own spec's checkpoint, so its warm-up state
+/// is exactly what a solo fork of that checkpoint
+/// ([`SnapshotArena::snapshot`] then [`SimSnapshot::fork`]) starts from.
 ///
 /// # Panics
 ///
@@ -313,26 +312,46 @@ pub fn run_group_forked(
     FusedDriver::new().run_measured(&mut sims, &mut slice, cfg.measured_refs)
 }
 
-/// [`run_group_forked`] for the common case of one workload under many
-/// designs: fuses `designs` over `spec`'s stream and returns one
-/// [`MeasuredRun`] per design, in `designs` order.
-pub fn run_fused_forked(
-    spec: &WorkloadSpec,
-    designs: &[LlcDesign],
-    cfg: &ExperimentConfig,
-    traces: &TraceArena,
-    snapshots: &SnapshotArena,
-) -> Vec<MeasuredRun> {
-    let members: Vec<(&WorkloadSpec, LlcDesign)> =
-        designs.iter().map(|&design| (spec, design)).collect();
-    run_group_forked(&members, cfg, traces, snapshots)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::design::AsrPolicy;
-    use crate::experiment::DesignComparison;
+
+    /// The independent leg: fork the memoized checkpoint a fused member
+    /// would, seat a private replay cursor past the warm-up prefix, and
+    /// measure alone.
+    fn solo_fork(
+        spec: &WorkloadSpec,
+        design: LlcDesign,
+        cfg: &ExperimentConfig,
+        traces: &TraceArena,
+        snapshots: &SnapshotArena,
+    ) -> MeasuredRun {
+        let snap = snapshots.snapshot(
+            traces,
+            design,
+            spec,
+            cfg.seed,
+            cfg.warmup_refs,
+            cfg.total_refs(),
+        );
+        let mut sim = snap.fork(design, spec);
+        let mut slice = traces.slice(spec, cfg.seed, cfg.total_refs());
+        slice.skip(cfg.warmup_refs);
+        sim.run_measured(&mut slice, cfg.measured_refs)
+    }
+
+    /// One workload under many designs, as one fused group.
+    fn fused(
+        spec: &WorkloadSpec,
+        designs: &[LlcDesign],
+        cfg: &ExperimentConfig,
+        traces: &TraceArena,
+        snapshots: &SnapshotArena,
+    ) -> Vec<MeasuredRun> {
+        let members: Vec<(&WorkloadSpec, LlcDesign)> = designs.iter().map(|&d| (spec, d)).collect();
+        run_group_forked(&members, cfg, traces, snapshots)
+    }
 
     #[test]
     fn fused_group_matches_independent_forks_per_design() {
@@ -349,14 +368,10 @@ mod tests {
         ];
         let traces = TraceArena::new();
         let snapshots = SnapshotArena::new();
-        let fused = run_fused_forked(&spec, &designs, &cfg, &traces, &snapshots);
+        let fused = fused(&spec, &designs, &cfg, &traces, &snapshots);
         for (design, fused_run) in designs.iter().zip(&fused) {
-            let solo =
-                DesignComparison::run_single_forked(&spec, *design, &cfg, &traces, &snapshots);
-            assert_eq!(
-                fused_run, &solo.run,
-                "{design} must be unaffected by fusion"
-            );
+            let solo = solo_fork(&spec, *design, &cfg, &traces, &snapshots);
+            assert_eq!(fused_run, &solo, "{design} must be unaffected by fusion");
         }
         assert_eq!(traces.generations(), 1, "one stream for the whole group");
     }
@@ -370,7 +385,7 @@ mod tests {
         let cfg = ExperimentConfig::smoke();
         let traces = TraceArena::new();
         let snapshots = SnapshotArena::new();
-        let runs = run_fused_forked(
+        let runs = fused(
             &spec,
             &[LlcDesign::Private, LlcDesign::Shared, LlcDesign::Ideal],
             &cfg,
@@ -400,9 +415,8 @@ mod tests {
         let members = [(&base, LlcDesign::Shared), (&small, LlcDesign::Shared)];
         let fused = run_group_forked(&members, &cfg, &traces, &snapshots);
         for ((spec, design), fused_run) in members.iter().zip(&fused) {
-            let solo =
-                DesignComparison::run_single_forked(spec, *design, &cfg, &traces, &snapshots);
-            assert_eq!(fused_run, &solo.run);
+            let solo = solo_fork(spec, *design, &cfg, &traces, &snapshots);
+            assert_eq!(fused_run, &solo);
         }
         assert_eq!(traces.len(), 1, "capacity does not change the stream");
         assert_eq!(snapshots.len(), 2, "capacity does change warm-up state");

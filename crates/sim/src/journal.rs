@@ -34,13 +34,19 @@
 //! Version 1 files (no `kind` byte) are refused by version, not guessed
 //! at: the matrix fingerprint mixes `JOURNAL_VERSION` in, so a stale
 //! journal fails the version check with a clear message.
+//!
+//! The header's job count is never trusted for an allocation. Replay keeps
+//! only the entries actually present, a count above `MAX_JOURNAL_JOBS` (2^32)
+//! is corrupt, and [`SweepJournal::open`] checks the count against the
+//! caller's matrix before it builds the per-job table.
 
 use crate::cpi::DetailedCpi;
-use crate::engine::FailureCause;
+use crate::engine::{FailureCause, JobFailure};
 use crate::simulator::MeasuredRun;
 use rnuca_types::failpoint;
 use rnuca_types::snap::{Snap, SnapReader};
 use rnuca_types::Fnv64;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -56,6 +62,12 @@ pub const JOURNAL_VERSION: u32 = 2;
 
 /// Header size in bytes: magic + version + fingerprint + job count.
 const HEADER_LEN: u64 = 8 + 4 + 8 + 8;
+
+/// The largest job count a journal header may claim. Any matrix is far
+/// smaller (the default `figures sweep` flattens to 288 jobs), and a
+/// resumed sweep keeps one result slot per job in memory, so a larger
+/// count can only be a damaged header.
+const MAX_JOURNAL_JOBS: u64 = 1 << 32;
 
 /// Entry kind byte: a completed [`MeasuredRun`].
 const ENTRY_RUN: u8 = 0;
@@ -143,6 +155,28 @@ impl JournalFailure {
             cause,
             message,
         })
+    }
+}
+
+impl From<&JobFailure> for JournalFailure {
+    fn from(f: &JobFailure) -> Self {
+        JournalFailure {
+            attempts: f.attempts,
+            cause: f.cause,
+            message: f.message.clone(),
+        }
+    }
+}
+
+impl JournalFailure {
+    /// The quarantined failure of job `job` this record describes.
+    pub fn into_job_failure(self, job: usize) -> JobFailure {
+        JobFailure {
+            job,
+            attempts: self.attempts,
+            cause: self.cause,
+            message: self.message,
+        }
     }
 }
 
@@ -262,19 +296,59 @@ impl SweepJournal {
         })
     }
 
-    /// Reopens a journal for appending after [`JournalReplay::load`],
-    /// truncating any torn tail the replay detected.
+    /// The journal of a matrix with `jobs` flattened jobs: created fresh
+    /// (truncating any previous file), or with `resume` reopened after an
+    /// interrupted run. Returns the journal and, per job, its replayed
+    /// entry (`None` for jobs still to run; all `None` for a fresh one).
+    ///
+    /// A resumed journal must carry this matrix's fingerprint and job
+    /// count, checked before the per-job table is built; its torn tail, if
+    /// any, is truncated away before the first append.
     ///
     /// # Errors
     ///
-    /// Any error opening or truncating the file.
-    pub fn resume(path: &Path, replay: &JournalReplay) -> std::io::Result<Self> {
+    /// [`JournalError::Io`] when the file cannot be created, read, or
+    /// truncated; [`JournalError::Corrupt`] for a damaged journal;
+    /// [`JournalError::FingerprintMismatch`] or
+    /// [`JournalError::JobCountMismatch`] when it records another sweep.
+    pub fn open(
+        path: &Path,
+        resume: bool,
+        fingerprint: u64,
+        jobs: usize,
+    ) -> Result<(Self, Vec<Option<JournalEntry>>), JournalError> {
+        if !resume {
+            return Ok((
+                Self::create(path, fingerprint, jobs as u64)?,
+                vec![None; jobs],
+            ));
+        }
+        let replay = JournalReplay::load(path)?;
+        if replay.fingerprint != fingerprint {
+            return Err(JournalError::FingerprintMismatch {
+                found: replay.fingerprint,
+                expected: fingerprint,
+            });
+        }
+        if replay.jobs != jobs as u64 {
+            return Err(JournalError::JobCountMismatch {
+                found: replay.jobs,
+                expected: jobs as u64,
+            });
+        }
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
         file.set_len(replay.valid_len)?;
         file.seek(SeekFrom::End(0))?;
-        Ok(SweepJournal {
-            file: Mutex::new(file),
-        })
+        let mut entries = vec![None; jobs];
+        for (job, entry) in replay.entries {
+            entries[job] = Some(entry);
+        }
+        Ok((
+            SweepJournal {
+                file: Mutex::new(file),
+            },
+            entries,
+        ))
     }
 
     /// Appends one completed job's entry and flushes it to the OS.
@@ -345,12 +419,13 @@ pub struct JournalReplay {
     pub fingerprint: u64,
     /// Flattened job count recorded in the header.
     pub jobs: u64,
-    /// Per-job journaled state, indexed by job: `Some(entry)` for journaled
-    /// jobs (completed or quarantined), `None` for jobs the interrupted
-    /// sweep never finished.
-    pub entries: Vec<Option<JournalEntry>>,
+    /// The journaled state of every job with an intact entry (completed
+    /// or quarantined), by job index. Jobs the interrupted sweep never
+    /// finished are absent, so the map is bounded by the file's entries,
+    /// never by the header's job count.
+    pub entries: BTreeMap<usize, JournalEntry>,
     /// Whether a torn final entry was detected (and will be truncated away
-    /// by [`SweepJournal::resume`]).
+    /// when [`SweepJournal::open`] resumes the journal).
     pub torn_tail: bool,
     /// File length up to and including the last intact entry.
     pub valid_len: u64,
@@ -366,8 +441,8 @@ impl JournalReplay {
     /// # Errors
     ///
     /// [`JournalError::Io`] when the file cannot be read;
-    /// [`JournalError::Corrupt`] when the header or an entry (other than a
-    /// torn tail) is damaged.
+    /// [`JournalError::Corrupt`] when the header (including a job count
+    /// above 2^32) or an entry other than a torn tail is damaged.
     pub fn load(path: &Path) -> Result<Self, JournalError> {
         let mut bytes = Vec::new();
         File::open(path)?.read_to_end(&mut bytes)?;
@@ -398,9 +473,17 @@ impl JournalReplay {
         }
         let fingerprint: u64 = r.get();
         let jobs: u64 = r.get();
+        if jobs > MAX_JOURNAL_JOBS {
+            return Err(JournalError::Corrupt {
+                offset: HEADER_LEN - 8,
+                message: format!(
+                    "header claims {jobs} jobs; no sweep has more than {MAX_JOURNAL_JOBS}"
+                ),
+            });
+        }
 
         let payload_len = run_payload_len();
-        let mut entries: Vec<Option<JournalEntry>> = vec![None; jobs as usize];
+        let mut entries = BTreeMap::new();
         let mut pos = HEADER_LEN as usize;
         let mut torn_tail = false;
         while pos < bytes.len() {
@@ -478,7 +561,7 @@ impl JournalReplay {
                     },
                 )?),
             };
-            entries[job as usize] = Some(entry);
+            entries.insert(job as usize, entry);
             pos += entry_len;
         }
         Ok(JournalReplay {
@@ -492,22 +575,22 @@ impl JournalReplay {
 
     /// Journaled (intact) entries, completed and quarantined alike.
     pub fn completed(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
+        self.entries.len()
     }
 
     /// Journaled quarantined failures.
     pub fn failed(&self) -> usize {
         self.entries
-            .iter()
-            .filter(|e| matches!(e, Some(JournalEntry::Failed(_))))
+            .values()
+            .filter(|e| matches!(e, JournalEntry::Failed(_)))
             .count()
     }
 
     /// The journaled run for `job`, if it completed successfully.
     pub fn run(&self, job: usize) -> Option<&MeasuredRun> {
-        match self.entries.get(job)? {
-            Some(JournalEntry::Run(run)) => Some(run),
-            _ => None,
+        match self.entries.get(&job)? {
+            JournalEntry::Run(run) => Some(run),
+            JournalEntry::Failed(_) => None,
         }
     }
 }
@@ -561,7 +644,7 @@ mod tests {
         assert_eq!(replay.completed(), 3);
         assert!(!replay.torn_tail);
         assert_eq!(replay.run(0), Some(&sample_run(0.0)));
-        assert_eq!(replay.entries[1], None);
+        assert_eq!(replay.entries.get(&1), None);
         assert_eq!(replay.run(3), Some(&sample_run(3.0)));
         assert_eq!(replay.run(4), Some(&sample_run(4.0)));
         std::fs::remove_file(&path).unwrap();
@@ -600,7 +683,7 @@ mod tests {
         assert_eq!(replay.failed(), 2);
         assert_eq!(replay.run(0), Some(&sample_run(0.0)));
         assert_eq!(replay.run(1), None, "a failed job has no run");
-        match &replay.entries[1] {
+        match replay.entries.get(&1) {
             Some(JournalEntry::Failed(f)) => {
                 assert_eq!(f.attempts, 3);
                 assert_eq!(f.cause, FailureCause::Panic);
@@ -608,14 +691,14 @@ mod tests {
             }
             other => panic!("want Failed, got {other:?}"),
         }
-        match &replay.entries[2] {
+        match replay.entries.get(&2) {
             Some(JournalEntry::Failed(f)) => {
                 assert_eq!(f.cause, FailureCause::Deadline);
                 assert_eq!(f.message, "");
             }
             other => panic!("want Failed, got {other:?}"),
         }
-        assert_eq!(replay.entries[3], None);
+        assert_eq!(replay.entries.get(&3), None);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -669,16 +752,13 @@ mod tests {
                     // Every surviving entry must be one the full journal
                     // wrote, and they must form a prefix in file order:
                     // entry k survives only if its whole frame fits.
-                    for (job, entry) in replay.entries.iter().enumerate() {
-                        match entry {
-                            None => {}
-                            Some(e) if job < expected.len() => assert_eq!(
-                                e, &expected[job],
+                    for (&job, e) in &replay.entries {
+                        match expected.get(job) {
+                            Some(want) => assert_eq!(
+                                e, want,
                                 "cut at byte {cut} fabricated a different entry for job {job}"
                             ),
-                            Some(e) => {
-                                panic!("cut at byte {cut} fabricated job {job}: {e:?}")
-                            }
+                            None => panic!("cut at byte {cut} fabricated job {job}: {e:?}"),
                         }
                     }
                     let survived = replay.completed();
@@ -696,7 +776,7 @@ mod tests {
                     // earlier one under pure truncation.
                     for job in 0..survived {
                         assert!(
-                            replay.entries[job].is_some(),
+                            replay.entries.contains_key(&job),
                             "cut at byte {cut}: entry {job} missing from a {survived}-entry prefix"
                         );
                     }
@@ -736,7 +816,8 @@ mod tests {
         assert_eq!(replay.valid_len, intact_len);
 
         // Resume truncates the torn tail and appends cleanly after it.
-        let journal = SweepJournal::resume(&path, &replay).unwrap();
+        let (journal, entries) = SweepJournal::open(&path, true, 7, 4).unwrap();
+        assert_eq!(entries.iter().filter(|e| e.is_some()).count(), 2);
         journal.append(2, &sample_run(2.0)).unwrap();
         drop(journal);
         let replay = JournalReplay::load(&path).unwrap();
@@ -794,6 +875,47 @@ mod tests {
                 assert!(message.contains("version 99"));
             }
             other => panic!("want Corrupt, got {other}"),
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn header_job_counts_are_checked_before_any_allocation() {
+        let path = temp_path("huge");
+        let header = |jobs: u64| {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(JOURNAL_MAGIC);
+            JOURNAL_VERSION.encode(&mut bytes);
+            7u64.encode(&mut bytes);
+            jobs.encode(&mut bytes);
+            bytes
+        };
+
+        // A count no sweep can have is a damaged header, not a panic.
+        std::fs::write(&path, header(u64::MAX)).unwrap();
+        match JournalReplay::load(&path).unwrap_err() {
+            JournalError::Corrupt { offset, message } => {
+                assert_eq!(offset, HEADER_LEN - 8, "the job-count field");
+                assert!(message.contains("jobs"), "{message}");
+            }
+            other => panic!("want Corrupt, got {other}"),
+        }
+
+        // A large but legal count: inspection holds only the entries
+        // present, and resuming against a real matrix is refused on the
+        // count before a per-job table is built.
+        let journal = SweepJournal::create(&path, 7, MAX_JOURNAL_JOBS).unwrap();
+        journal.append(5, &sample_run(5.0)).unwrap();
+        drop(journal);
+        let replay = JournalReplay::load(&path).unwrap();
+        assert_eq!(replay.jobs, MAX_JOURNAL_JOBS);
+        assert_eq!(replay.completed(), 1);
+        assert_eq!(replay.run(5), Some(&sample_run(5.0)));
+        match SweepJournal::open(&path, true, 7, 4).unwrap_err() {
+            JournalError::JobCountMismatch { found, expected } => {
+                assert_eq!((found, expected), (MAX_JOURNAL_JOBS, 4));
+            }
+            other => panic!("want JobCountMismatch, got {other}"),
         }
         std::fs::remove_file(&path).unwrap();
     }

@@ -56,16 +56,14 @@ pub use cpi::{CpiBreakdown, CpiComponent, DetailedCpi};
 pub use design::{AsrPolicy, LlcDesign};
 pub use engine::{ExperimentEngine, FailureCause, JobFailure};
 pub use experiment::{DesignComparison, ExperimentConfig, RunResult, WorkloadResults};
-pub use fused::{
-    group_indices, run_fused_forked, run_group_forked, FusedDriver, FusedGroupKey, GroupForks,
-};
+pub use fused::{group_indices, run_group_forked, FusedDriver, FusedGroupKey, GroupForks};
 pub use journal::{
     JournalEntry, JournalError, JournalFailure, JournalReplay, SweepJournal, JOURNAL_VERSION,
 };
 pub use report::TextTable;
 pub use scenario::{
-    failed_record, result_from, sweep_record, QuarantinedSweep, ResumeSummary, ScenarioJob,
-    ScenarioMatrix, ScenarioResult, ScenarioSweep, SweepError, SWEEP_SCHEMA_VERSION,
+    replay_results, result_from, sweep_record, sweep_records, QuarantinedSweep, ResumeSummary,
+    ScenarioJob, ScenarioMatrix, ScenarioResult, SweepError, SWEEP_SCHEMA_VERSION,
 };
 pub use simulator::{CmpSimulator, MeasuredRun};
 pub use snapshot::{SimSnapshot, SnapshotArena, SnapshotKey, WarmupClass};

@@ -1,14 +1,41 @@
 //! Declarative scenario matrices: one struct, every `(workload, design,
-//! config-point)` combination.
+//! config-point)` combination, and the one executor that runs them.
 //!
 //! The paper's figures each hand-rolled their own loop (per-workload designs
 //! for Figures 7-10/12, cluster sizes for Figure 11). A [`ScenarioMatrix`]
 //! replaces those loops: declare the workloads, the designs, and the sweep
 //! axes — core counts, L2 slice capacities, R-NUCA instruction-cluster sizes
-//! — and the matrix flattens itself into jobs for the
-//! [`ExperimentEngine`]. Results come back
-//! in a deterministic order (and are identical for every worker-pool size),
-//! ready for tables or the JSON emitted by [`ScenarioSweep::to_json`].
+//! — and the matrix flattens itself into jobs.
+//!
+//! # The executor
+//!
+//! [`ScenarioMatrix::run`] is the only way a matrix executes: the design
+//! comparison and the Figure 11 cluster sweep of
+//! [`crate::DesignComparison`], `figures sweep`, and the repository
+//! benchmark all go through it. Its stages:
+//!
+//! 1. replay the journal, when given one, into results and pending jobs;
+//! 2. materialize the pending jobs' reference streams
+//!    ([`ScenarioMatrix::prepare_streams`]);
+//! 3. run one supervised pass of fused groups, the jobs sharing a stream
+//!    (see [`crate::fused`]);
+//! 4. re-run the members of failed groups solo under the caller's
+//!    [`RetryPolicy`], quarantining a job only when every attempt fails;
+//! 5. journal each group or solo job as it lands, and each quarantined
+//!    job as a typed failure entry;
+//! 6. append one warehouse row per job, in job order, when given a store.
+//!
+//! Journal appends run on the calling thread, which receives finished
+//! groups over a channel, so they sit outside every job's panic
+//! supervision: a journal I/O error aborts the sweep with
+//! [`SweepError::Journal`], a panic inside an append (a simulated crash)
+//! propagates to the caller, and neither is ever quarantined or retried.
+//! `RetryPolicy::immediate(0)` with no journal and no store is the plain
+//! run.
+//!
+//! Results come back in job order and are identical for every worker
+//! count, ready for tables or the JSON emitted by
+//! [`QuarantinedSweep::to_json`].
 //!
 //! # Example
 //!
@@ -29,23 +56,22 @@ use crate::design::LlcDesign;
 use crate::engine::{ExperimentEngine, JobFailure};
 use crate::experiment::ExperimentConfig;
 use crate::fused::{group_indices, run_group_forked};
-use crate::journal::{
-    JournalEntry, JournalError, JournalFailure, JournalReplay, SweepJournal, JOURNAL_VERSION,
-};
+use crate::journal::{JournalEntry, JournalError, SweepJournal, JOURNAL_VERSION};
 use crate::simulator::MeasuredRun;
 use crate::snapshot::SnapshotArena;
 use rnuca_types::config::ConfigPoint;
 use rnuca_types::retry::RetryPolicy;
-use rnuca_types::{ConfigError, Fnv64};
+use rnuca_types::{json_string, ConfigError, Fnv64};
 use rnuca_warehouse::{AppendSummary, RowKind, RunRecord, Warehouse};
 use rnuca_workloads::{TraceArena, TraceKey, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
 
-/// Schema version of the sweep rows [`ScenarioMatrix::run_forked_into`]
-/// appends to the warehouse (bumped when their column content changes
+/// Schema version of the sweep rows [`ScenarioMatrix::run`] appends to the warehouse (bumped when their column content changes
 /// meaning, so old and new rows stay distinguishable by the `schema`
 /// column).
 pub const SWEEP_SCHEMA_VERSION: u64 = 1;
@@ -56,7 +82,7 @@ pub const SWEEP_SCHEMA_VERSION: u64 = 1;
 /// default matrix reduces to a plain design comparison. `cluster_sizes`
 /// applies only to R-NUCA designs (other designs have no cluster parameter).
 /// Sizes exceeding a point's core count are skipped for that point
-/// (mirroring [`crate::DesignComparison::run_cluster_sweep`]); sizes that are not
+/// (so a Figure 11 cluster sweep simply skips them); sizes that are not
 /// powers of two are skipped too, rather than panicking inside a worker the
 /// way the rotational map's constructor would.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -103,21 +129,13 @@ pub struct ScenarioResult {
     pub run: MeasuredRun,
 }
 
-/// All results of one matrix run, in flattened job order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScenarioSweep {
-    /// The run lengths and seed the sweep used.
-    pub cfg: ExperimentConfig,
-    /// One result per job, ordered by job index.
-    pub results: Vec<ScenarioResult>,
-}
-
-/// Why a journaled sweep could not run.
+/// Why a sweep could not run (or was aborted).
 #[derive(Debug)]
 pub enum SweepError {
     /// The matrix itself is invalid (same errors as [`ScenarioMatrix::jobs`]).
     Config(ConfigError),
-    /// The journal could not be created, loaded, or matched to the matrix.
+    /// The journal could not be created, loaded, matched to the matrix, or
+    /// appended to.
     Journal(JournalError),
 }
 
@@ -160,8 +178,8 @@ pub struct ResumeSummary {
     pub ran: usize,
 }
 
-/// A supervised matrix run: per-job `Result`s instead of an all-or-nothing
-/// sweep. See [`ScenarioMatrix::run_supervised_forked`].
+/// A matrix run: per-job `Result`s instead of an all-or-nothing sweep. See
+/// [`ScenarioMatrix::run`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuarantinedSweep {
     /// The run lengths and seed the sweep used.
@@ -183,14 +201,6 @@ impl QuarantinedSweep {
     /// Jobs that completed.
     pub fn completed(&self) -> usize {
         self.results.iter().filter(|r| r.is_ok()).count()
-    }
-
-    /// The sweep with every failure discarded (results stay in job order).
-    pub fn into_sweep(self) -> ScenarioSweep {
-        ScenarioSweep {
-            cfg: self.cfg,
-            results: self.results.into_iter().filter_map(Result::ok).collect(),
-        }
     }
 }
 
@@ -284,85 +294,6 @@ impl ScenarioMatrix {
         Ok(jobs)
     }
 
-    /// Runs the matrix on a default-sized engine.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Self::jobs`] errors.
-    pub fn run(&self) -> Result<ScenarioSweep, ConfigError> {
-        self.run_with(&ExperimentEngine::new())
-    }
-
-    /// Runs the matrix on an explicit engine. The result vector is ordered
-    /// by job index and identical for every worker count.
-    ///
-    /// Jobs are grouped by their reference stream: the matrix multiplies
-    /// designs and slice capacities on top of far fewer unique
-    /// `(workload, core count, seed)` streams, so those are materialized
-    /// once each — in parallel, into a [`TraceArena`] — and every job
-    /// replays its group's slab.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Self::jobs`] errors.
-    pub fn run_with(&self, engine: &ExperimentEngine) -> Result<ScenarioSweep, ConfigError> {
-        self.run_with_arena(engine, &TraceArena::new())
-    }
-
-    /// [`Self::run_with`] resolving jobs through an explicit `arena`
-    /// (exposed so callers can share streams across matrices and inspect
-    /// deduplication).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Self::jobs`] errors.
-    pub fn run_with_arena(
-        &self,
-        engine: &ExperimentEngine,
-        arena: &TraceArena,
-    ) -> Result<ScenarioSweep, ConfigError> {
-        self.run_forked(engine, arena, &SnapshotArena::new())
-    }
-
-    /// [`Self::run_with_arena`] resolving every job's warmed state through
-    /// an explicit `snapshots` arena (exposed so callers can pre-populate
-    /// checkpoints and inspect deduplication).
-    ///
-    /// Jobs group onto warmed checkpoints the way they group onto streams:
-    /// the matrix multiplies designs (and, for R-NUCA, cluster sizes) on
-    /// top of fewer unique `(workload, config-point, warm-up class)` keys,
-    /// so those checkpoints are warmed once each, by the fused group that
-    /// consumes them (see [`crate::fused::GroupForks`]).
-    ///
-    /// Measurement is fused (see [`crate::fused`]): jobs sharing a
-    /// reference stream form one fused group that steps every member per
-    /// shared trace batch, so the engine's unit of work is a group and each
-    /// unique stream is walked once per sweep, not once per job. Results
-    /// scatter back to flattened job order, identical for every worker
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Self::jobs`] errors.
-    pub fn run_forked(
-        &self,
-        engine: &ExperimentEngine,
-        arena: &TraceArena,
-        snapshots: &SnapshotArena,
-    ) -> Result<ScenarioSweep, ConfigError> {
-        let jobs = self.jobs()?;
-        let completed = vec![None; jobs.len()];
-        let runs = self.run_forked_core(engine, arena, snapshots, &jobs, &completed, None);
-        Ok(ScenarioSweep {
-            cfg: self.cfg,
-            results: jobs
-                .iter()
-                .zip(runs)
-                .map(|(job, run)| result_from(job, run))
-                .collect(),
-        })
-    }
-
     /// A fingerprint over every field of the matrix (and the journal
     /// format version), identifying "the same sweep" for journal resume.
     /// Any change — a workload profile, an axis value, a run length, the
@@ -376,281 +307,145 @@ impl ScenarioMatrix {
         h.finish()
     }
 
-    /// [`Self::run_forked`], journaling every completed job to `path`.
+    /// Runs the matrix through the executor (see the module docs for its
+    /// stages).
     ///
-    /// With `resume` false, `path` is created (truncating any previous
-    /// journal). With `resume` true, `path` is loaded first: its header
-    /// must match this matrix (fingerprint and job count), journaled jobs
-    /// are replayed instead of re-run, and only the remainder executes.
-    /// Because every job's result is a pure function of the matrix and the
-    /// seed, the resumed sweep — and any warehouse built from it — is
-    /// bit-identical to an uninterrupted run.
+    /// `traces` and `snapshots` resolve reference streams and warmed
+    /// checkpoints: pass fresh arenas, or shared ones to reuse streams
+    /// across matrices and inspect deduplication. Jobs share a stream when
+    /// only designs, slice capacities, or cluster sizes differ, so the
+    /// unique streams are materialized once each and every job of a fused
+    /// group replays its group's slab; each group warms its own checkpoints
+    /// (see [`crate::fused::GroupForks`]), so nothing warmed outlives it.
     ///
-    /// # Errors
+    /// `policy` governs the solo re-runs of members of failed groups: its
+    /// retry budget and seeded backoff (the pause schedule derives from the
+    /// matrix seed, so it is identical for every worker count). Its
+    /// `deadline` is not enforced here, because borrowed jobs cannot be
+    /// abandoned mid-attempt; the experiment service enforces deadlines
+    /// with [`ExperimentEngine::run_supervised_detached`].
     ///
-    /// [`SweepError::Config`] for invalid matrices; [`SweepError::Journal`]
-    /// when the journal cannot be created or loaded, or does not belong to
-    /// this matrix.
-    pub fn run_forked_journaled(
-        &self,
-        engine: &ExperimentEngine,
-        arena: &TraceArena,
-        snapshots: &SnapshotArena,
-        path: &Path,
-        resume: bool,
-    ) -> Result<(ScenarioSweep, ResumeSummary), SweepError> {
-        let jobs = self.jobs()?;
-        let fingerprint = self.fingerprint();
-        let (journal, completed) = if resume {
-            let replay = JournalReplay::load(path)?;
-            if replay.fingerprint != fingerprint {
-                return Err(JournalError::FingerprintMismatch {
-                    found: replay.fingerprint,
-                    expected: fingerprint,
-                }
-                .into());
-            }
-            if replay.jobs as usize != jobs.len() {
-                return Err(JournalError::JobCountMismatch {
-                    found: replay.jobs,
-                    expected: jobs.len() as u64,
-                }
-                .into());
-            }
-            let journal = SweepJournal::resume(path, &replay).map_err(JournalError::Io)?;
-            // This is the fail-fast path: a journaled *failure* entry does
-            // not satisfy the job (there is no run to replay), so the job
-            // re-runs — and, being deterministic, re-raises its panic. Use
-            // [`Self::run_supervised_journaled`] to skip quarantined jobs.
-            let runs = replay
-                .entries
-                .into_iter()
-                .map(|entry| match entry {
-                    Some(JournalEntry::Run(run)) => Some(run),
-                    _ => None,
-                })
-                .collect();
-            (journal, runs)
-        } else {
-            let journal = SweepJournal::create(path, fingerprint, jobs.len() as u64)
-                .map_err(JournalError::Io)?;
-            (journal, vec![None; jobs.len()])
-        };
-        let replayed = completed.iter().filter(|c| c.is_some()).count();
-        let runs =
-            self.run_forked_core(engine, arena, snapshots, &jobs, &completed, Some(&journal));
-        let sweep = ScenarioSweep {
-            cfg: self.cfg,
-            results: jobs
-                .iter()
-                .zip(runs)
-                .map(|(job, run)| result_from(job, run))
-                .collect(),
-        };
-        Ok((
-            sweep,
-            ResumeSummary {
-                replayed,
-                ran: jobs.len() - replayed,
-            },
-        ))
-    }
-
-    /// [`Self::run_forked_journaled`], additionally appending one
-    /// `kind=sweep` row per result into `store` (the journaled analogue of
-    /// [`Self::run_forked_into`], with the same dedup-by-key semantics).
+    /// With `journal = Some((path, resume))` every landed job is journaled
+    /// to `path`, which is created fresh or, with `resume`, continued:
+    /// completed jobs replay as results, quarantined jobs replay as
+    /// failures (skipped instead of re-crashing), and only jobs without an
+    /// entry run. Every job's result is a pure function of the matrix and
+    /// the seed, so a resumed sweep, and any warehouse built from it, is
+    /// bit-identical to an uninterrupted one. With `store`, one row per job
+    /// lands there in job order: `kind=sweep` for a result, `kind=failed`
+    /// for a quarantined job. Rows dedup by key, so re-running a matrix
+    /// into the same store adds zero rows.
+    ///
+    /// Returns every job's outcome in job order, what was replayed versus
+    /// run, and the warehouse append (`None` without a store).
     ///
     /// # Errors
     ///
-    /// Same as [`Self::run_forked_journaled`].
-    pub fn run_forked_into_journaled(
+    /// [`SweepError::Config`] for an invalid matrix; [`SweepError::Journal`]
+    /// when the journal cannot be created, resumed, or appended to, or
+    /// records a different sweep. A journal fault aborts the sweep; it
+    /// never quarantines a job.
+    ///
+    /// # Panics
+    ///
+    /// Propagates a panic raised inside a journal append (the injected
+    /// crash points of [`SweepJournal::append`]).
+    pub fn run(
         &self,
         engine: &ExperimentEngine,
-        arena: &TraceArena,
+        traces: &TraceArena,
         snapshots: &SnapshotArena,
-        path: &Path,
-        resume: bool,
-        store: &Warehouse,
-    ) -> Result<(ScenarioSweep, AppendSummary, ResumeSummary), SweepError> {
-        let (sweep, resumed) = self.run_forked_journaled(engine, arena, snapshots, path, resume)?;
-        let jobs = self.jobs()?;
-        let records: Vec<RunRecord> = jobs
-            .iter()
-            .zip(&sweep.results)
-            .map(|(job, result)| sweep_record(&self.cfg, &job.workload, result))
-            .collect();
-        let summary = store.append_all(&records);
-        Ok((sweep, summary, resumed))
-    }
-
-    /// [`Self::run_supervised_forked`] composed with the journal — the
-    /// crash-safe *and* panic-safe sweep.
-    ///
-    /// Before this composition existed, journaled sweeps were fail-fast: a
-    /// single poisoned member killed the whole sweep, and `--resume` would
-    /// deterministically re-crash on the same job forever. Here every
-    /// completed job journals a run entry as before, while a job whose
-    /// every attempt fails journals a *typed failure entry* — so resume
-    /// replays completed jobs as results, replays quarantined jobs as
-    /// failures (skipping them instead of re-crashing), and re-runs only
-    /// jobs with no entry at all.
-    ///
-    /// Fused groups are attempted first; members of failed groups re-run
-    /// solo under `policy` — its retry budget and seeded backoff (the pause
-    /// schedule derives from the matrix seed, so it is identical for every
-    /// worker count). The policy's `deadline` is not enforced on this
-    /// borrow-based path; the experiment service's runner enforces
-    /// deadlines at the group level via
-    /// [`ExperimentEngine::run_supervised_detached`].
-    ///
-    /// # Errors
-    ///
-    /// [`SweepError::Config`] for invalid matrices; [`SweepError::Journal`]
-    /// when the journal cannot be created, loaded, appended, or does not
-    /// belong to this matrix.
-    pub fn run_supervised_journaled(
-        &self,
-        engine: &ExperimentEngine,
-        arena: &TraceArena,
-        snapshots: &SnapshotArena,
-        path: &Path,
-        resume: bool,
         policy: &RetryPolicy,
-    ) -> Result<(QuarantinedSweep, ResumeSummary), SweepError> {
+        journal: Option<(&Path, bool)>,
+        store: Option<&Warehouse>,
+    ) -> Result<(QuarantinedSweep, ResumeSummary, Option<AppendSummary>), SweepError> {
         let jobs = self.jobs()?;
-        let fingerprint = self.fingerprint();
-        let (journal, journaled) = if resume {
-            let replay = JournalReplay::load(path)?;
-            if replay.fingerprint != fingerprint {
-                return Err(JournalError::FingerprintMismatch {
-                    found: replay.fingerprint,
-                    expected: fingerprint,
-                }
-                .into());
+        let (journal, entries) = match journal {
+            Some((path, resume)) => {
+                let (journal, entries) =
+                    SweepJournal::open(path, resume, self.fingerprint(), jobs.len())?;
+                (Some(journal), entries)
             }
-            if replay.jobs as usize != jobs.len() {
-                return Err(JournalError::JobCountMismatch {
-                    found: replay.jobs,
-                    expected: jobs.len() as u64,
-                }
-                .into());
-            }
-            let journal = SweepJournal::resume(path, &replay).map_err(JournalError::Io)?;
-            (journal, replay.entries)
-        } else {
-            let journal = SweepJournal::create(path, fingerprint, jobs.len() as u64)
-                .map_err(JournalError::Io)?;
-            (journal, vec![None; jobs.len()])
+            None => (None, vec![None; jobs.len()]),
         };
-        let replayed = journaled.iter().filter(|e| e.is_some()).count();
+        let (mut results, pending) = replay_results(&jobs, entries);
+        let resumed = ResumeSummary {
+            replayed: jobs.len() - pending.len(),
+            ran: pending.len(),
+        };
 
-        let mut results: Vec<Option<Result<ScenarioResult, JobFailure>>> =
-            jobs.iter().map(|_| None).collect();
-        let mut pending: Vec<usize> = Vec::new();
-        for (i, entry) in journaled.into_iter().enumerate() {
-            match entry {
-                Some(JournalEntry::Run(run)) => {
-                    results[i] = Some(Ok(result_from(&jobs[i], run)));
-                }
-                Some(JournalEntry::Failed(f)) => {
-                    results[i] = Some(Err(JobFailure {
-                        job: i,
-                        attempts: f.attempts,
-                        cause: f.cause,
-                        message: f.message,
-                    }));
-                }
-                None => pending.push(i),
-            }
-        }
-
-        self.prepare_streams(engine, arena, &jobs, &pending);
-        let groups = group_indices(&pending, |&i| {
+        self.prepare_streams(engine, traces, &jobs, &pending);
+        let groups: Vec<Vec<usize>> = group_indices(&pending, |&i| {
             TraceKey::new(&jobs[i].workload, self.cfg.seed)
-        });
-        let group_outcomes = engine.run_supervised(&groups, 0, |_, (_, indices)| {
-            let members: Vec<(&WorkloadSpec, LlcDesign)> = indices
-                .iter()
-                .map(|&p| (&jobs[pending[p]].workload, jobs[pending[p]].design))
-                .collect();
-            let runs = run_group_forked(&members, &self.cfg, arena, snapshots);
-            for (&p, run) in indices.iter().zip(&runs) {
-                journal
-                    .append(pending[p], run)
-                    .unwrap_or_else(|e| panic!("journal append failed: {e}"));
-            }
-            runs
-        });
-        let mut solo_jobs: Vec<usize> = Vec::new();
-        for ((_, indices), outcome) in groups.iter().zip(group_outcomes) {
+        })
+        .into_iter()
+        .map(|(_, members)| members.into_iter().map(|p| pending[p]).collect())
+        .collect();
+        let pass = |groups: &[Vec<usize>], policy: &RetryPolicy| {
+            self.supervised_pass(
+                engine,
+                traces,
+                snapshots,
+                &jobs,
+                groups,
+                policy,
+                journal.as_ref(),
+            )
+        };
+        let mut solo: Vec<Vec<usize>> = Vec::new();
+        for (members, outcome) in groups
+            .iter()
+            .zip(pass(&groups, &RetryPolicy::immediate(0))?)
+        {
             match outcome {
                 Ok(runs) => {
-                    for (&p, run) in indices.iter().zip(runs) {
-                        results[pending[p]] = Some(Ok(result_from(&jobs[pending[p]], run)));
+                    for (&i, run) in members.iter().zip(runs) {
+                        results[i] = Some(Ok(result_from(&jobs[i], run)));
                     }
                 }
                 // The panic poisoned the whole fused pass (and nothing was
-                // journaled for it); every member re-runs solo below.
-                Err(_) => solo_jobs.extend(indices.iter().map(|&p| pending[p])),
+                // journaled for it). Fusion is architecturally invisible,
+                // so each member re-runs solo to its bit-identical result,
+                // and only a truly poisoned scenario ends up quarantined.
+                Err(_) => solo.extend(members.iter().map(|&i| vec![i])),
             }
         }
-        let solo_outcomes =
-            engine.run_supervised_policy(&solo_jobs, self.cfg.seed, policy, |_, &i| {
-                let members = [(&jobs[i].workload, jobs[i].design)];
-                let run = run_group_forked(&members, &self.cfg, arena, snapshots)
-                    .pop()
-                    .expect("a one-member group yields one run");
-                journal
-                    .append(i, &run)
-                    .unwrap_or_else(|e| panic!("journal append failed: {e}"));
-                run
-            });
-        for (&i, outcome) in solo_jobs.iter().zip(solo_outcomes) {
+        for (members, outcome) in solo.iter().zip(pass(&solo, policy)?) {
+            let i = members[0];
             results[i] = Some(match outcome {
-                Ok(run) => Ok(result_from(&jobs[i], run)),
+                Ok(runs) => Ok(result_from(&jobs[i], runs[0])),
                 Err(failure) => {
                     let failure = JobFailure { job: i, ..failure };
-                    journal
-                        .append_failure(
-                            i,
-                            &JournalFailure {
-                                attempts: failure.attempts,
-                                cause: failure.cause,
-                                message: failure.message.clone(),
-                            },
-                        )
-                        .map_err(JournalError::Io)?;
+                    if let Some(journal) = &journal {
+                        journal
+                            .append_failure(i, &(&failure).into())
+                            .map_err(JournalError::Io)?;
+                    }
                     Err(failure)
                 }
             });
         }
-        Ok((
-            QuarantinedSweep {
-                cfg: self.cfg,
-                results: results
-                    .into_iter()
-                    .map(|r| r.expect("every job is replayed, scattered, or re-run solo"))
-                    .collect(),
-            },
-            ResumeSummary {
-                replayed,
-                ran: jobs.len() - replayed,
-            },
-        ))
+
+        let sweep = QuarantinedSweep {
+            cfg: self.cfg,
+            results: results
+                .into_iter()
+                .map(|r| r.expect("every job is replayed, scattered, or re-run solo"))
+                .collect(),
+        };
+        let appended =
+            store.map(|store| store.append_all(&sweep_records(&self.cfg, &jobs, &sweep.results)));
+        Ok((sweep, resumed, appended))
     }
 
-    /// [`Self::run_supervised_journaled`], additionally appending one row
-    /// per job into `store`: a `kind=sweep` row for each completed job and
-    /// a `kind=failed` row (failure message in the `failure` column) for
-    /// each quarantined one, so `figures query kind=failed` lists exactly
-    /// what a sweep lost instead of failures silently vanishing.
+    /// [`Self::run`] with both a journal and a store.
+    ///
+    /// Kept only because the benchmark package calls it by this signature;
+    /// new callers use [`Self::run`].
     ///
     /// # Errors
     ///
-    /// Same as [`Self::run_supervised_journaled`].
-    // One parameter per orthogonal concern (engine, two arenas, journal
-    // location + resume, policy, store); bundling them into a struct would
-    // only move the argument list behind a builder.
+    /// As [`Self::run`].
     #[allow(clippy::too_many_arguments)]
     pub fn run_supervised_into_journaled(
         &self,
@@ -662,87 +457,75 @@ impl ScenarioMatrix {
         policy: &RetryPolicy,
         store: &Warehouse,
     ) -> Result<(QuarantinedSweep, AppendSummary, ResumeSummary), SweepError> {
-        let (sweep, resumed) =
-            self.run_supervised_journaled(engine, arena, snapshots, path, resume, policy)?;
-        let jobs = self.jobs()?;
-        let records: Vec<RunRecord> = jobs
-            .iter()
-            .zip(&sweep.results)
-            .map(|(job, result)| match result {
-                Ok(result) => sweep_record(&self.cfg, &job.workload, result),
-                Err(failure) => failed_record(&self.cfg, job, failure),
-            })
-            .collect();
-        let summary = store.append_all(&records);
-        Ok((sweep, summary, resumed))
+        let (sweep, resumed, appended) = self.run(
+            engine,
+            arena,
+            snapshots,
+            policy,
+            Some((path, resume)),
+            Some(store),
+        )?;
+        Ok((sweep, appended.expect("a store was given"), resumed))
     }
 
-    /// [`Self::run_forked`] with per-job panic quarantine: one poisoned
-    /// scenario yields a [`JobFailure`] in its slot while every other job
-    /// completes.
+    /// One supervised pass over `groups` (job indices sharing a stream):
+    /// each group runs as one fused pass, attempted under `policy`.
     ///
-    /// Fused groups are attempted first (a panic anywhere in a group kills
-    /// the whole group's pass); members of failed groups are then re-run
-    /// *solo* — fusion is architecturally invisible, so a solo re-run
-    /// produces the member's bit-identical result — with up to `retries`
-    /// extra attempts each, and only members that still panic are
-    /// quarantined.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Self::jobs`] errors.
-    pub fn run_supervised_forked(
+    /// The engine runs on a scoped thread; this thread owns the journal and
+    /// appends each group's runs as the group lands, outside the engine's
+    /// panic supervision. After a journal fault the pass stops claiming
+    /// groups: an I/O error returns [`JournalError::Io`], a panic unwinds.
+    // One parameter per input of a pass; they are the executor's locals.
+    #[allow(clippy::too_many_arguments)]
+    fn supervised_pass(
         &self,
         engine: &ExperimentEngine,
-        arena: &TraceArena,
+        traces: &TraceArena,
         snapshots: &SnapshotArena,
-        retries: u32,
-    ) -> Result<QuarantinedSweep, ConfigError> {
-        let jobs = self.jobs()?;
-        self.prepare_streams(engine, arena, &jobs, &(0..jobs.len()).collect::<Vec<_>>());
-        let groups = group_indices(&jobs, |job| TraceKey::new(&job.workload, self.cfg.seed));
-        let group_outcomes = engine.run_supervised(&groups, 0, |_, (_, indices)| {
-            let members: Vec<(&WorkloadSpec, LlcDesign)> = indices
-                .iter()
-                .map(|&i| (&jobs[i].workload, jobs[i].design))
-                .collect();
-            run_group_forked(&members, &self.cfg, arena, snapshots)
-        });
-        let mut results: Vec<Option<Result<ScenarioResult, JobFailure>>> =
-            jobs.iter().map(|_| None).collect();
-        let mut solo_jobs: Vec<usize> = Vec::new();
-        for ((_, indices), outcome) in groups.iter().zip(group_outcomes) {
-            match outcome {
-                Ok(runs) => {
-                    for (&i, run) in indices.iter().zip(runs) {
-                        results[i] = Some(Ok(result_from(&jobs[i], run)));
+        jobs: &[ScenarioJob],
+        groups: &[Vec<usize>],
+        policy: &RetryPolicy,
+        journal: Option<&SweepJournal>,
+    ) -> Result<Vec<Result<Vec<MeasuredRun>, JobFailure>>, JournalError> {
+        let closed = AtomicBool::new(false);
+        let closed = &closed;
+        let (landed, inbox) = mpsc::channel::<(usize, Vec<MeasuredRun>)>();
+        let outcomes = std::thread::scope(|scope| {
+            let pass = scope.spawn(move || {
+                engine.run_supervised_policy(groups, self.cfg.seed, policy, |g, members| {
+                    if closed.load(Ordering::Acquire) {
+                        return None;
+                    }
+                    let pairs: Vec<(&WorkloadSpec, LlcDesign)> = members
+                        .iter()
+                        .map(|&i| (&jobs[i].workload, jobs[i].design))
+                        .collect();
+                    let runs = run_group_forked(&pairs, &self.cfg, traces, snapshots);
+                    // The inbox closes only when journaling failed.
+                    if landed.send((g, runs.clone())).is_err() {
+                        closed.store(true, Ordering::Release);
+                    }
+                    Some(runs)
+                })
+            });
+            if let Some(journal) = journal {
+                for (g, runs) in inbox {
+                    for (&i, run) in groups[g].iter().zip(&runs) {
+                        journal.append(i, run)?;
                     }
                 }
-                // The panic poisoned the whole fused pass; every member is
-                // re-attempted solo below, so only the truly poisoned
-                // scenario ends up quarantined.
-                Err(_) => solo_jobs.extend(indices),
             }
-        }
-        let solo_outcomes = engine.run_supervised(&solo_jobs, retries, |_, &i| {
-            let members = [(&jobs[i].workload, jobs[i].design)];
-            run_group_forked(&members, &self.cfg, arena, snapshots)
-                .pop()
-                .expect("a one-member group yields one run")
-        });
-        for (&i, outcome) in solo_jobs.iter().zip(solo_outcomes) {
-            results[i] = Some(match outcome {
-                Ok(run) => Ok(result_from(&jobs[i], run)),
-                Err(failure) => Err(JobFailure { job: i, ..failure }),
-            });
-        }
-        Ok(QuarantinedSweep {
-            cfg: self.cfg,
-            results: results
-                .into_iter()
-                .map(|r| r.expect("every job is scattered or re-run solo"))
-                .collect(),
+            Ok(pass
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
         })
+        .map_err(JournalError::Io)?;
+        Ok(outcomes
+            .into_iter()
+            .map(|o| {
+                o.map(|runs| runs.expect("only a pass closed by a journal fault skips groups"))
+            })
+            .collect())
     }
 
     /// Materializes the reference streams the jobs in `pending` need, each
@@ -770,94 +553,13 @@ impl ScenarioMatrix {
             arena.populate(&job.workload, self.cfg.seed, self.cfg.total_refs())
         });
     }
-
-    /// The shared fused-measurement path: runs every job in `jobs` whose
-    /// slot in `completed` is `None`, journaling each finished job when a
-    /// journal is given, and returns the full run vector in job order
-    /// (replayed results merged with computed ones).
-    fn run_forked_core(
-        &self,
-        engine: &ExperimentEngine,
-        arena: &TraceArena,
-        snapshots: &SnapshotArena,
-        jobs: &[ScenarioJob],
-        completed: &[Option<MeasuredRun>],
-        journal: Option<&SweepJournal>,
-    ) -> Vec<MeasuredRun> {
-        let pending: Vec<usize> = (0..jobs.len())
-            .filter(|&i| completed[i].is_none())
-            .collect();
-        self.prepare_streams(engine, arena, jobs, &pending);
-        let groups = group_indices(&pending, |&i| {
-            TraceKey::new(&jobs[i].workload, self.cfg.seed)
-        });
-        let group_runs = engine.run(&groups, |_, (_, indices)| {
-            let members: Vec<(&WorkloadSpec, LlcDesign)> = indices
-                .iter()
-                .map(|&p| (&jobs[pending[p]].workload, jobs[pending[p]].design))
-                .collect();
-            let runs = run_group_forked(&members, &self.cfg, arena, snapshots);
-            if let Some(journal) = journal {
-                // Journal the whole group as soon as it completes: a crash
-                // between groups loses nothing, a crash mid-group loses at
-                // most this group (re-run deterministically on resume).
-                for (&p, run) in indices.iter().zip(&runs) {
-                    journal
-                        .append(pending[p], run)
-                        .unwrap_or_else(|e| panic!("journal append failed: {e}"));
-                }
-            }
-            runs
-        });
-        let mut all: Vec<Option<MeasuredRun>> = completed.to_vec();
-        for ((_, indices), runs) in groups.iter().zip(group_runs) {
-            for (&p, run) in indices.iter().zip(runs) {
-                all[pending[p]] = Some(run);
-            }
-        }
-        all.into_iter()
-            .map(|r| r.expect("every job is replayed or belongs to exactly one fused group"))
-            .collect()
-    }
-
-    /// [`Self::run_forked`], additionally appending one `kind=sweep` row
-    /// per result into `store`.
-    ///
-    /// Rows are keyed by the full workload-spec fingerprint plus design,
-    /// geometry, seed, and schema, so re-running the same matrix into the
-    /// same store adds zero rows — repeated sweeps accumulate
-    /// incrementally, and only genuinely new points grow the store.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Self::jobs`] errors.
-    pub fn run_forked_into(
-        &self,
-        engine: &ExperimentEngine,
-        arena: &TraceArena,
-        snapshots: &SnapshotArena,
-        store: &Warehouse,
-    ) -> Result<(ScenarioSweep, AppendSummary), ConfigError> {
-        let sweep = self.run_forked(engine, arena, snapshots)?;
-        // jobs() is deterministic and cheap next to the simulation, so
-        // re-flattening recovers each result's full WorkloadSpec (the
-        // sweep itself only keeps the name) for fingerprinting.
-        let jobs = self.jobs()?;
-        let records: Vec<RunRecord> = jobs
-            .iter()
-            .zip(&sweep.results)
-            .map(|(job, result)| sweep_record(&self.cfg, &job.workload, result))
-            .collect();
-        let summary = store.append_all(&records);
-        Ok((sweep, summary))
-    }
 }
 
 /// Labels one job's measured run with its resolved configuration.
 ///
-/// Public so external drivers (the experiment service's runner) can turn
-/// journal-replayed and freshly-measured runs into the same results a
-/// library sweep produces.
+/// Public so code outside the executor (the experiment service's
+/// runner, the benchmark's traced path) can turn runs into the results it
+/// produces.
 pub fn result_from(job: &ScenarioJob, run: MeasuredRun) -> ScenarioResult {
     let system = job.workload.system_config();
     ScenarioResult {
@@ -870,11 +572,52 @@ pub fn result_from(job: &ScenarioJob, run: MeasuredRun) -> ScenarioResult {
     }
 }
 
+/// Scatters a journal's replayed entries over `jobs`: completed jobs
+/// become results, quarantined ones stay quarantined (a resume never
+/// re-crashes on them), and the jobs without an entry come back as the
+/// pending list, in job order.
+pub fn replay_results(
+    jobs: &[ScenarioJob],
+    entries: Vec<Option<JournalEntry>>,
+) -> (Vec<Option<Result<ScenarioResult, JobFailure>>>, Vec<usize>) {
+    let mut pending = Vec::new();
+    let results = entries
+        .into_iter()
+        .enumerate()
+        .map(|(i, entry)| match entry {
+            Some(JournalEntry::Run(run)) => Some(Ok(result_from(&jobs[i], run))),
+            Some(JournalEntry::Failed(f)) => Some(Err(f.into_job_failure(i))),
+            None => {
+                pending.push(i);
+                None
+            }
+        })
+        .collect();
+    (results, pending)
+}
+
+/// One warehouse row per job, in job order: a `kind=sweep` row for each
+/// result and a `kind=failed` row (failure text in the `failure` column)
+/// for each quarantined job, so `figures query kind=failed` lists exactly
+/// what a sweep lost.
+pub fn sweep_records(
+    cfg: &ExperimentConfig,
+    jobs: &[ScenarioJob],
+    results: &[Result<ScenarioResult, JobFailure>],
+) -> Vec<RunRecord> {
+    jobs.iter()
+        .zip(results)
+        .map(|(job, result)| match result {
+            Ok(result) => sweep_record(cfg, &job.workload, result),
+            Err(failure) => failed_record(cfg, job, failure),
+        })
+        .collect()
+}
+
 /// One sweep result as a warehouse row.
 ///
-/// Public so external drivers (the experiment service's runner) can build
-/// the exact rows the `run_*_into` methods would, then batch them into a
-/// single [`Warehouse::append_all`] call of their own.
+/// Public so the benchmark's traced path builds the exact rows the
+/// executor appends.
 pub fn sweep_record(
     cfg: &ExperimentConfig,
     spec: &WorkloadSpec,
@@ -924,7 +667,7 @@ pub fn sweep_record(
 /// metric columns are set — there is no run to report. Rows key on identity
 /// *and* the failure text: re-ingesting the same failure deduplicates,
 /// while the same scenario failing differently later adds a new row.
-pub fn failed_record(cfg: &ExperimentConfig, job: &ScenarioJob, failure: &JobFailure) -> RunRecord {
+fn failed_record(cfg: &ExperimentConfig, job: &ScenarioJob, failure: &JobFailure) -> RunRecord {
     let mut r = RunRecord::new(
         RowKind::Failed,
         cfg.seed as i64,
@@ -955,41 +698,7 @@ pub fn failed_record(cfg: &ExperimentConfig, job: &ScenarioJob, failure: &JobFai
     r
 }
 
-impl ScenarioSweep {
-    /// Serialises the sweep as a JSON document.
-    ///
-    /// Emitted by hand (the workspace vendors no JSON library) with a
-    /// deterministic field order and Rust's shortest-roundtrip float
-    /// formatting, so equal sweeps produce byte-identical documents — the
-    /// property the worker-count determinism test pins down.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.results.len() * 256);
-        out.push_str("{\n  \"config\": {");
-        out.push_str(&format!(
-            "\"warmup_refs\": {}, \"measured_refs\": {}, \"seed\": {}, \"asr_best_of\": {}",
-            self.cfg.warmup_refs, self.cfg.measured_refs, self.cfg.seed, self.cfg.asr_best_of
-        ));
-        out.push_str("},\n  \"results\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(&result_json(r));
-            out.push_str(if i + 1 < self.results.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// The results for one workload, in job order.
-    pub fn workload(&self, name: &str) -> Vec<&ScenarioResult> {
-        self.results.iter().filter(|r| r.workload == name).collect()
-    }
-}
-
-/// One scenario result as a JSON object (shared by both sweep documents).
+/// One scenario result as a JSON object.
 fn result_json(r: &ScenarioResult) -> String {
     let cluster = match r.design {
         LlcDesign::RNuca { instr_cluster_size } => instr_cluster_size.to_string(),
@@ -1021,13 +730,16 @@ fn result_json(r: &ScenarioResult) -> String {
 }
 
 impl QuarantinedSweep {
-    /// Serialises the supervised sweep as a JSON document.
+    /// Serialises the sweep as a JSON document.
     ///
-    /// Same deterministic shape as [`ScenarioSweep::to_json`], except each
-    /// slot in `results` is either a result object or `null` (the job was
-    /// quarantined), and a `failures` array lists every quarantined job
-    /// with its index, attempt count, cause, and panic message — failures
-    /// appear in the output instead of silently vanishing.
+    /// Emitted by hand (the workspace vendors no JSON library) with a
+    /// deterministic field order and Rust's shortest-roundtrip float
+    /// formatting, so equal sweeps produce byte-identical documents — the
+    /// property the worker-count determinism test pins down. Each slot in
+    /// `results` is a result object, or `null` when the job was
+    /// quarantined; a `failures` array lists every quarantined job with its
+    /// index, attempt count, cause, and panic message, so failures appear
+    /// in the output instead of silently vanishing.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + self.results.len() * 256);
         out.push_str("{\n  \"config\": {");
@@ -1065,22 +777,6 @@ impl QuarantinedSweep {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1093,6 +789,41 @@ mod tests {
         m.workloads = vec![WorkloadSpec::oltp_db2()];
         m.designs = vec![LlcDesign::Shared, LlcDesign::rnuca_default()];
         m
+    }
+
+    /// The plain run: fresh arenas, no retries, no journal, no store.
+    fn plain(m: &ScenarioMatrix, workers: usize) -> QuarantinedSweep {
+        into_plain(m.run(
+            &ExperimentEngine::with_workers(workers),
+            &TraceArena::new(),
+            &SnapshotArena::new(),
+            &RetryPolicy::immediate(0),
+            None,
+            None,
+        ))
+    }
+
+    fn into_plain(
+        run: Result<(QuarantinedSweep, ResumeSummary, Option<AppendSummary>), SweepError>,
+    ) -> QuarantinedSweep {
+        let (sweep, _, _) = run.expect("the matrix is valid");
+        assert!(sweep.failures().is_empty(), "no job may fail");
+        sweep
+    }
+
+    /// The plain run into `store`, returning the append summary too.
+    fn into_store(m: &ScenarioMatrix, store: &Warehouse) -> (QuarantinedSweep, AppendSummary) {
+        let (sweep, _, appended) = m
+            .run(
+                &ExperimentEngine::with_workers(2),
+                &TraceArena::new(),
+                &SnapshotArena::new(),
+                &RetryPolicy::immediate(0),
+                None,
+                Some(store),
+            )
+            .expect("the matrix is valid");
+        (sweep, appended.expect("a store was given"))
     }
 
     #[test]
@@ -1129,7 +860,15 @@ mod tests {
         let mut m = tiny_matrix();
         m.core_counts = vec![24];
         assert!(m.jobs().is_err());
-        assert!(m.run().is_err());
+        let run = m.run(
+            &ExperimentEngine::with_workers(1),
+            &TraceArena::new(),
+            &SnapshotArena::new(),
+            &RetryPolicy::immediate(0),
+            None,
+            None,
+        );
+        assert!(matches!(run, Err(SweepError::Config(_))));
     }
 
     #[test]
@@ -1139,8 +878,8 @@ mod tests {
         let mut m = tiny_matrix();
         m.core_counts = vec![16, 32];
         m.cluster_sizes = vec![2, 4];
-        let serial = m.run_with(&ExperimentEngine::with_workers(1)).unwrap();
-        let pooled = m.run_with(&ExperimentEngine::with_workers(5)).unwrap();
+        let serial = plain(&m, 1);
+        let pooled = plain(&m, 5);
         assert_eq!(serial, pooled);
         assert_eq!(serial.to_json(), pooled.to_json());
         assert_eq!(serial.results.len(), 2 * 3);
@@ -1155,9 +894,14 @@ mod tests {
         m.core_counts = vec![16, 32];
         m.slice_capacities_kb = vec![512, 1024];
         let arena = TraceArena::new();
-        let sweep = m
-            .run_with_arena(&ExperimentEngine::with_workers(4), &arena)
-            .unwrap();
+        let sweep = into_plain(m.run(
+            &ExperimentEngine::with_workers(4),
+            &arena,
+            &SnapshotArena::new(),
+            &RetryPolicy::immediate(0),
+            None,
+            None,
+        ));
         assert_eq!(sweep.results.len(), 2 * 2 * 2);
         assert_eq!(arena.len(), 2, "one stream per core count");
         assert_eq!(arena.generations(), 2);
@@ -1185,9 +929,14 @@ mod tests {
         m.slice_capacities_kb = vec![512, 1024];
         let traces = TraceArena::new();
         let snapshots = SnapshotArena::new();
-        let sweep = m
-            .run_forked(&ExperimentEngine::with_workers(4), &traces, &snapshots)
-            .unwrap();
+        let sweep = into_plain(m.run(
+            &ExperimentEngine::with_workers(4),
+            &traces,
+            &snapshots,
+            &RetryPolicy::immediate(0),
+            None,
+            None,
+        ));
         assert_eq!(sweep.results.len(), 3 * 2);
         assert_eq!(traces.len(), 1, "capacity never changes the stream");
         assert_eq!(snapshots.warmups(), 2, "one checkpoint per capacity point");
@@ -1235,9 +984,15 @@ mod tests {
         let engine = ExperimentEngine::with_workers(2);
 
         let snapshots = SnapshotArena::new();
-        m.run_forked(&engine, &TraceArena::new(), &snapshots)
-            .unwrap();
-        assert_eq!(snapshots.len(), 0, "run_forked retains no checkpoint");
+        into_plain(m.run(
+            &engine,
+            &TraceArena::new(),
+            &snapshots,
+            &RetryPolicy::immediate(0),
+            None,
+            None,
+        ));
+        assert_eq!(snapshots.len(), 0, "the plain run retains no checkpoint");
         assert_eq!(snapshots.warmups(), unique.len(), "one warm-up per key");
 
         let path = std::env::temp_dir().join(format!(
@@ -1245,19 +1000,17 @@ mod tests {
             std::process::id()
         ));
         let snapshots = SnapshotArena::new();
-        let (sweep, _) = m
-            .run_supervised_journaled(
-                &engine,
-                &TraceArena::new(),
-                &snapshots,
-                &path,
-                false,
-                &RetryPolicy::immediate(0),
-            )
-            .unwrap();
+        let sweep = into_plain(m.run(
+            &engine,
+            &TraceArena::new(),
+            &snapshots,
+            &RetryPolicy::immediate(0),
+            Some((&path, false)),
+            None,
+        ));
         std::fs::remove_file(&path).unwrap();
         assert_eq!(sweep.completed(), jobs.len());
-        assert_eq!(snapshots.len(), 0, "the supervised sweep retains none");
+        assert_eq!(snapshots.len(), 0, "the journaled sweep retains none");
         assert_eq!(snapshots.warmups(), unique.len(), "one warm-up per key");
     }
 
@@ -1266,63 +1019,56 @@ mod tests {
         let mut m = tiny_matrix();
         m.core_counts = vec![32];
         m.slice_capacities_kb = vec![512];
-        let sweep = m.run().unwrap();
+        let sweep = plain(&m, 2);
         assert!(!sweep.results.is_empty());
         for r in &sweep.results {
+            let r = r.as_ref().expect("no job failed");
+            assert_eq!(r.workload, "OLTP DB2");
             assert_eq!(r.cores, 32);
             assert_eq!(r.slice_kb, 512);
             assert!(r.run.total_cpi() > 0.0);
         }
-        assert_eq!(sweep.workload("OLTP DB2").len(), sweep.results.len());
-        assert!(sweep.workload("nonexistent").is_empty());
     }
 
     #[test]
     fn json_has_the_documented_shape() {
         let mut m = tiny_matrix();
         m.designs = vec![LlcDesign::rnuca_default()];
-        let sweep = m.run().unwrap();
-        let json = sweep.to_json();
+        let json = plain(&m, 1).to_json();
         assert!(json.starts_with("{\n  \"config\""));
         assert!(json.contains("\"workload\": \"OLTP DB2\""));
         assert!(json.contains("\"letter\": \"R\""));
         assert!(json.contains("\"cluster\": 4"));
         assert!(json.contains("\"total_cpi\": "));
+        assert!(json.contains("\"failures\": [\n  ]"), "no job failed");
         assert!(json.trim_end().ends_with('}'));
         // Shared designs carry a null cluster.
         let mut m2 = tiny_matrix();
         m2.designs = vec![LlcDesign::Shared];
-        assert!(m2.run().unwrap().to_json().contains("\"cluster\": null"));
+        assert!(plain(&m2, 1).to_json().contains("\"cluster\": null"));
     }
 
     #[test]
     fn rerunning_a_sweep_into_the_store_adds_zero_rows() {
         let mut m = tiny_matrix();
         m.core_counts = vec![16, 32];
-        let engine = ExperimentEngine::with_workers(2);
         let store = Warehouse::new();
 
-        let (sweep, first) = m
-            .run_forked_into(&engine, &TraceArena::new(), &SnapshotArena::new(), &store)
-            .unwrap();
+        let (sweep, first) = into_store(&m, &store);
         assert_eq!(first.added, sweep.results.len());
         assert_eq!(first.deduplicated, 0);
         assert_eq!(store.len(), sweep.results.len());
 
         // The same matrix again: fully deduplicated, store unchanged.
         let bytes = store.to_bytes();
-        let (_, second) = m
-            .run_forked_into(&engine, &TraceArena::new(), &SnapshotArena::new(), &store)
-            .unwrap();
+        let (_, second) = into_store(&m, &store);
         assert_eq!(second.added, 0);
         assert_eq!(second.deduplicated, sweep.results.len());
         assert_eq!(store.to_bytes(), bytes, "re-ingest must be byte-identical");
 
         // A new axis point is incremental: only the new rows append.
         m.core_counts = vec![16, 32, 64];
-        let (bigger, third) = m
-            .run_forked_into(&engine, &TraceArena::new(), &SnapshotArena::new(), &store)
-            .unwrap();
+        let (bigger, third) = into_store(&m, &store);
         assert_eq!(third.added, bigger.results.len() - sweep.results.len());
         assert_eq!(third.deduplicated, sweep.results.len());
         assert_eq!(store.len(), bigger.results.len());
@@ -1338,21 +1084,15 @@ mod tests {
     fn sweep_records_mirror_the_json_fields() {
         let m = tiny_matrix();
         let store = Warehouse::new();
-        let (sweep, _) = m
-            .run_forked_into(
-                &ExperimentEngine::with_workers(1),
-                &TraceArena::new(),
-                &SnapshotArena::new(),
-                &store,
-            )
-            .unwrap();
+        let (sweep, _) = into_store(&m, &store);
+        let results: Vec<&ScenarioResult> = sweep.results.iter().flatten().collect();
         let out = store
             .query("kind=sweep sort design show design, cluster, total_cpi, off_chip_rate, config, schema, partial")
             .expect("clean query");
-        assert_eq!(out.rows.len(), sweep.results.len());
+        assert_eq!(out.rows.len(), results.len());
         for (row, want) in out.rows.iter().zip(
             // sort design: R before S.
-            [&sweep.results[1], &sweep.results[0]],
+            [results[1], results[0]],
         ) {
             assert_eq!(row[0].to_string(), want.design.letter());
             assert_eq!(row[2].to_string(), want.run.total_cpi().to_string());
@@ -1364,12 +1104,5 @@ mod tests {
         // The R-NUCA row records its cluster size; shared rows are null.
         let clusters: Vec<String> = out.rows.iter().map(|r| r[1].to_string()).collect();
         assert_eq!(clusters, ["4", "-"]);
-    }
-
-    #[test]
-    fn json_string_escapes_specials() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("x\ny"), "\"x\\u000ay\"");
     }
 }

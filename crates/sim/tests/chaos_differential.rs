@@ -4,20 +4,25 @@
 //! crashed. And a panic injected into one scenario must quarantine exactly
 //! that scenario while every other job completes with its usual result.
 //!
+//! A fault in the journal itself is never mistaken for a failing job: an
+//! injected append I/O error aborts the sweep with `SweepError::Journal`,
+//! and an injected crash mid-append propagates, instead of either being
+//! quarantined and retried.
+//!
 //! Fail points are compiled in because this test depends on `rnuca-types`
 //! with the `failpoints` feature (dev-dependencies only; release builds of
 //! the library stay fault-free).
 
 use rnuca_sim::{
-    ExperimentConfig, ExperimentEngine, FailureCause, JournalError, ScenarioMatrix, SnapshotArena,
-    SweepError,
+    ExperimentConfig, ExperimentEngine, FailureCause, JournalError, QuarantinedSweep,
+    ResumeSummary, ScenarioMatrix, SnapshotArena, SweepError,
 };
 use rnuca_types::failpoint::{self, FailAction, FailSpec};
 use rnuca_types::RetryPolicy;
-use rnuca_warehouse::Warehouse;
+use rnuca_warehouse::{AppendSummary, Warehouse};
 use rnuca_workloads::{TraceArena, WorkloadSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// Serializes the tests in this binary: a test's un-armed phases (baseline
@@ -45,30 +50,44 @@ fn journal_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("rnuca-chaos-{}-{tag}.journal", std::process::id()))
 }
 
+type Outcome = (QuarantinedSweep, ResumeSummary, Option<AppendSummary>);
+
+/// The executor on the shared test arenas.
+fn run(
+    m: &ScenarioMatrix,
+    engine: &ExperimentEngine,
+    arenas: &(TraceArena, SnapshotArena),
+    policy: &RetryPolicy,
+    journal: Option<(&Path, bool)>,
+    store: Option<&Warehouse>,
+) -> Result<Outcome, SweepError> {
+    m.run(engine, &arenas.0, &arenas.1, policy, journal, store)
+}
+
 #[test]
 fn interrupted_and_resumed_sweeps_are_bit_identical() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let m = chaos_matrix();
     let engine = ExperimentEngine::with_workers(1);
-    let arena = TraceArena::new();
-    let snapshots = SnapshotArena::new();
+    let arenas = (TraceArena::new(), SnapshotArena::new());
+    let policy = RetryPolicy::immediate(1);
 
     // The ground truth: an uninterrupted journaled run and the exact bytes
     // of the warehouse it builds.
     let baseline_journal = journal_path("baseline");
     let baseline_store = Warehouse::new();
-    let (baseline, summary, resumed) = m
-        .run_forked_into_journaled(
-            &engine,
-            &arena,
-            &snapshots,
-            &baseline_journal,
-            false,
-            &baseline_store,
-        )
-        .expect("the chaos matrix is valid");
+    let (baseline, resumed, summary) = run(
+        &m,
+        &engine,
+        &arenas,
+        &policy,
+        Some((&baseline_journal, false)),
+        Some(&baseline_store),
+    )
+    .expect("the chaos matrix is valid");
     let baseline_bytes = baseline_store.to_bytes();
-    assert_eq!(summary.added, 4);
+    assert_eq!(baseline.completed(), 4);
+    assert_eq!(summary.unwrap().added, 4);
     assert_eq!((resumed.replayed, resumed.ran), (0, 4));
 
     // Crash the sweep at several injected points — seeded triggers on the
@@ -105,24 +124,39 @@ fn interrupted_and_resumed_sweeps_are_bit_identical() {
         {
             let _guard = failpoint::arm(std::slice::from_ref(&spec));
             let crashed = catch_unwind(AssertUnwindSafe(|| {
-                m.run_forked_journaled(&engine, &arena, &snapshots, &path, false)
+                run(&m, &engine, &arenas, &policy, Some((&path, false)), None)
             }));
+            // A journal fault aborts the sweep: an I/O error returns
+            // `SweepError::Journal`, an injected crash unwinds. Neither may
+            // come back as a completed (or quarantining) sweep.
             assert!(
-                crashed.is_err(),
+                !matches!(crashed, Ok(Ok(_))),
                 "{tag}: the injected fault must abort the sweep"
             );
+            match (spec.action, &crashed) {
+                (FailAction::Io, Ok(Err(SweepError::Journal(JournalError::Io(_))))) => {}
+                (FailAction::Panic, Err(_)) => {}
+                (action, Ok(Err(e))) => panic!("{tag}: {action:?} fault returned {e}"),
+                (action, _) => panic!("{tag}: {action:?} fault took the wrong path"),
+            }
         }
         let store = Warehouse::new();
-        let (sweep, summary, resumed) = m
-            .run_forked_into_journaled(&engine, &arena, &snapshots, &path, true, &store)
-            .unwrap_or_else(|e| panic!("{tag}: resume failed: {e}"));
+        let (sweep, resumed, summary) = run(
+            &m,
+            &engine,
+            &arenas,
+            &policy,
+            Some((&path, true)),
+            Some(&store),
+        )
+        .unwrap_or_else(|e| panic!("{tag}: resume failed: {e}"));
         assert_eq!(sweep, baseline, "{tag}: resumed results differ");
         assert_eq!(
             store.to_bytes(),
             baseline_bytes,
             "{tag}: resumed warehouse is not byte-identical"
         );
-        assert_eq!(summary.added, 4, "{tag}");
+        assert_eq!(summary.unwrap().added, 4, "{tag}");
         assert_eq!(resumed.replayed + resumed.ran, 4, "{tag}");
         assert!(
             resumed.ran > 0,
@@ -138,17 +172,16 @@ fn resume_rejects_a_journal_from_a_different_sweep() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let m = chaos_matrix();
     let engine = ExperimentEngine::with_workers(2);
-    let arena = TraceArena::new();
-    let snapshots = SnapshotArena::new();
+    let arenas = (TraceArena::new(), SnapshotArena::new());
+    let policy = RetryPolicy::immediate(0);
     let path = journal_path("mismatch");
-    m.run_forked_journaled(&engine, &arena, &snapshots, &path, false)
+    run(&m, &engine, &arenas, &policy, Some((&path, false)), None)
         .expect("the chaos matrix is valid");
 
     // Any change to the matrix — here the seed — must invalidate the journal.
     let mut other = chaos_matrix();
     other.cfg.seed += 1;
-    let err = other
-        .run_forked_journaled(&engine, &arena, &snapshots, &path, true)
+    let err = run(&other, &engine, &arenas, &policy, Some((&path, true)), None)
         .expect_err("a stale journal must be rejected, not silently mixed in");
     match err {
         SweepError::Journal(JournalError::FingerprintMismatch { found, expected }) => {
@@ -165,19 +198,17 @@ fn an_injected_panic_quarantines_exactly_that_job() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let m = chaos_matrix();
     let engine = ExperimentEngine::with_workers(2);
-    let arena = TraceArena::new();
-    let snapshots = SnapshotArena::new();
-    let baseline = m
-        .run_forked(&engine, &arena, &snapshots)
+    let arenas = (TraceArena::new(), SnapshotArena::new());
+    let (baseline, _, _) = run(&m, &engine, &arenas, &RetryPolicy::immediate(0), None, None)
         .expect("the chaos matrix is valid");
+    assert_eq!(baseline.completed(), 4);
 
     // Job 0 is (OLTP DB2, shared, 16 cores); its member-measurement site
     // panics on every attempt, so group pass, solo re-run, and the retry
     // all fail — while its fused-group partner (job 1) must still complete.
     let site = "sim::member::OLTP DB2::shared::16c";
     let _guard = failpoint::arm(&[FailSpec::always(site, FailAction::Panic)]);
-    let sweep = m
-        .run_supervised_forked(&engine, &arena, &snapshots, 1)
+    let (sweep, _, _) = run(&m, &engine, &arenas, &RetryPolicy::immediate(1), None, None)
         .expect("the chaos matrix is valid");
     assert_eq!(sweep.results.len(), 4);
     assert_eq!(sweep.completed(), 3);
@@ -189,7 +220,7 @@ fn an_injected_panic_quarantines_exactly_that_job() {
     for i in 1..4 {
         assert_eq!(
             sweep.results[i].as_ref().expect("healthy jobs complete"),
-            &baseline.results[i],
+            baseline.results[i].as_ref().unwrap(),
             "job {i}: quarantine must not perturb healthy results"
         );
     }
@@ -200,8 +231,7 @@ fn a_journaled_supervised_sweep_quarantines_and_resume_skips_the_failure() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let m = chaos_matrix();
     let engine = ExperimentEngine::with_workers(2);
-    let arena = TraceArena::new();
-    let snapshots = SnapshotArena::new();
+    let arenas = (TraceArena::new(), SnapshotArena::new());
     let path = journal_path("supervised");
     let policy = RetryPolicy::immediate(1);
 
@@ -209,12 +239,20 @@ fn a_journaled_supervised_sweep_quarantines_and_resume_skips_the_failure() {
     // up quarantined — and journaled as a typed failure entry — while the
     // other three jobs complete and journal their runs.
     let store = Warehouse::new();
-    let (sweep, summary, resumed) = {
+    let (sweep, resumed, summary) = {
         let site = "sim::member::OLTP DB2::shared::16c";
         let _guard = failpoint::arm(&[FailSpec::always(site, FailAction::Panic)]);
-        m.run_supervised_into_journaled(&engine, &arena, &snapshots, &path, false, &policy, &store)
-            .expect("a quarantined member must not abort the sweep")
+        run(
+            &m,
+            &engine,
+            &arenas,
+            &policy,
+            Some((&path, false)),
+            Some(&store),
+        )
+        .expect("a quarantined member must not abort the sweep")
     };
+    let summary = summary.unwrap();
     assert_eq!((resumed.replayed, resumed.ran), (0, 4));
     assert_eq!(sweep.completed(), 3);
     let failures = sweep.failures();
@@ -244,17 +282,16 @@ fn a_journaled_supervised_sweep_quarantines_and_resume_skips_the_failure() {
     // (replayed as a failure, not re-run — even though it would now
     // succeed), and the rebuilt warehouse is byte-identical.
     let resumed_store = Warehouse::new();
-    let (resumed_sweep, resumed_summary, resumed2) = m
-        .run_supervised_into_journaled(
-            &engine,
-            &arena,
-            &snapshots,
-            &path,
-            true,
-            &policy,
-            &resumed_store,
-        )
-        .expect("resume must succeed");
+    let (resumed_sweep, resumed2, resumed_summary) = run(
+        &m,
+        &engine,
+        &arenas,
+        &policy,
+        Some((&path, true)),
+        Some(&resumed_store),
+    )
+    .expect("resume must succeed");
+    let resumed_summary = resumed_summary.unwrap();
     assert_eq!(
         (resumed2.replayed, resumed2.ran),
         (4, 0),

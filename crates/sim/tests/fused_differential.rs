@@ -5,7 +5,7 @@
 //! For every geometry (16/32/64 cores) × three seeds, the suite runs the
 //! full design matrix (including a static ASR variant that shares the
 //! adaptive variant's checkpoint) twice: once fused
-//! ([`run_fused_forked`], one shared cursor and batch buffer driving every
+//! ([`run_group_forked`], one shared cursor and batch buffer driving every
 //! member) and once independently (fork the same memoized checkpoint, seat
 //! a private replay cursor, `run_measured` alone). The paired
 //! [`MeasuredRun`]s must be equal *and* render identical `Debug` strings —
@@ -16,7 +16,7 @@
 //! reference stream exactly once no matter how many designs ride it.
 
 use rnuca_sim::{
-    run_fused_forked, AsrPolicy, ExperimentConfig, LlcDesign, MeasuredRun, SnapshotArena,
+    run_group_forked, AsrPolicy, ExperimentConfig, LlcDesign, MeasuredRun, SnapshotArena,
 };
 use rnuca_types::config::ConfigPoint;
 use rnuca_workloads::{TraceArena, WorkloadSpec};
@@ -64,6 +64,18 @@ fn cfg_for(seed: u64) -> ExperimentConfig {
     cfg.measured_refs = MEASURED;
     cfg.seed = seed;
     cfg
+}
+
+/// The fused leg: every design over `spec`'s stream as one fused group.
+fn run_fused_forked(
+    spec: &WorkloadSpec,
+    designs: &[LlcDesign],
+    cfg: &ExperimentConfig,
+    traces: &TraceArena,
+    snapshots: &SnapshotArena,
+) -> Vec<MeasuredRun> {
+    let members: Vec<(&WorkloadSpec, LlcDesign)> = designs.iter().map(|&d| (spec, d)).collect();
+    run_group_forked(&members, cfg, traces, snapshots)
 }
 
 /// The independent leg: fork the same memoized checkpoint a fused member

@@ -11,7 +11,7 @@
 //! refactor and prove it preserved simulation behaviour exactly. Every test
 //! asserts the digest over three paths — streaming generation, trace-arena
 //! replay, and warmed-checkpoint forking — so the shared-slab machinery and
-//! the snapshot codec are pinned to the same bit-identical outputs. The
+//! checkpoint forks are pinned to the same bit-identical outputs. The
 //! `*_64c` tests repeat the matrix at a second geometry (64 cores), where
 //! the torus, directory, and page-classification state are all larger.
 
@@ -43,8 +43,8 @@ fn run_replayed(design: LlcDesign, spec: &WorkloadSpec) -> String {
 
 /// [`run`] going through the snapshot arena: warm a canonical checkpoint,
 /// fork it, skip the replay cursor past the warm-up prefix, and measure.
-/// Asserting this path against the same recorded digest proves the
-/// save/restore codec preserves simulation behaviour exactly.
+/// Asserting this path against the same recorded digest proves a fork by
+/// clone preserves simulation behaviour exactly.
 fn run_forked(design: LlcDesign, spec: &WorkloadSpec) -> String {
     let traces = TraceArena::new();
     let snapshots = SnapshotArena::new();

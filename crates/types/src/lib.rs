@@ -33,6 +33,7 @@ pub mod failpoint;
 pub mod fingerprint;
 pub mod ids;
 pub mod index_map;
+pub mod json;
 pub mod latency;
 pub mod os_hint;
 pub mod retry;
@@ -47,6 +48,7 @@ pub use error::ConfigError;
 pub use fingerprint::Fnv64;
 pub use ids::{CoreId, MemCtrlId, RotationalId, TileId};
 pub use index_map::U64Map;
+pub use json::json_string;
 pub use latency::Cycles;
 pub use retry::{BackoffConfig, RetryPolicy};
 pub use snap::{Snap, SnapReader};

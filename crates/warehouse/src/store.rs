@@ -25,7 +25,7 @@ use crate::catalog::{catalog_hash, ColumnType, CATALOG};
 use crate::query::{self, QueryError, QueryOutput};
 use crate::record::RunRecord;
 use rnuca_types::failpoint;
-use rnuca_types::Fnv64;
+use rnuca_types::{json_string, Fnv64};
 
 /// Eight magic bytes opening every warehouse file.
 const MAGIC: &[u8; 8] = b"RNUCAWH\0";
@@ -79,25 +79,6 @@ impl Value {
             Value::Str(v) => json_string(v),
         }
     }
-}
-
-/// Escapes `s` as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Why a store failed to open or save.

@@ -3,8 +3,10 @@
 
 use rnuca_sim::{
     AsrPolicy, DesignComparison, ExperimentConfig, ExperimentEngine, LlcDesign, ScenarioMatrix,
+    SnapshotArena,
 };
-use rnuca_workloads::WorkloadSpec;
+use rnuca_types::RetryPolicy;
+use rnuca_workloads::{TraceArena, WorkloadSpec};
 
 fn small_cfg() -> ExperimentConfig {
     let mut cfg = ExperimentConfig::smoke();
@@ -29,10 +31,17 @@ fn scenario_sweep_json_is_byte_identical_across_worker_pools() {
     let outputs: Vec<String> = [1, 2, 7]
         .iter()
         .map(|&w| {
-            matrix
-                .run_with(&ExperimentEngine::with_workers(w))
-                .expect("matrix axes are valid")
-                .to_json()
+            let (sweep, _, _) = matrix
+                .run(
+                    &ExperimentEngine::with_workers(w),
+                    &TraceArena::new(),
+                    &SnapshotArena::new(),
+                    &RetryPolicy::immediate(0),
+                    None,
+                    None,
+                )
+                .expect("matrix axes are valid");
+            sweep.to_json()
         })
         .collect();
     assert_eq!(outputs[0], outputs[1]);
