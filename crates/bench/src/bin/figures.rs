@@ -79,8 +79,13 @@
 //! and `--retries=`/`--deadline-ms=` supervision knobs. See the
 //! `rnuca-service` crate docs for the protocol and crash-resume semantics.
 //!
-//! Exit codes: 0 success, 1 generic failure, 2 malformed query (spanned
-//! diagnostics on stderr), 3 corrupt on-disk artifact — a damaged
+//! The command line is strict: `--help` prints a usage summary and exits 0
+//! without running anything, and an unknown flag or target exits 2 naming
+//! it, before any work starts.
+//!
+//! Exit codes: 0 success, 1 generic failure, 2 unknown flag or target, or
+//! malformed query (spanned diagnostics on stderr), 3 corrupt on-disk
+//! artifact — a damaged
 //! warehouse or journal renders a compiler-style diagnostic naming the
 //! file and byte offset, and is never silently recreated or repaired.
 
@@ -107,8 +112,95 @@ const CHARACTERIZATION_REFS: usize = 400_000;
 const CHARACTERIZATION_REFS_QUICK: usize = 60_000;
 const CHARACTERIZATION_REFS_SMOKE: usize = 10_000;
 
+/// Figure targets (everything that is not a warehouse or service
+/// subcommand).
+const TARGETS: &[&str] = &[
+    "all", "table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
+    "fig11", "fig12", "accuracy", "sweep", "perf",
+];
+/// Subcommands that take the remaining positionals themselves.
+const SUBCOMMANDS: &[&str] = &[
+    "ingest", "query", "gate", "journal", "serve", "submit", "status", "watch", "cancel", "drain",
+];
+/// Flags without a value.
+const SWITCHES: &[&str] = &[
+    "--quick", "--smoke", "--list", "--resume", "--json", "--help",
+];
+/// Flags written `--name=VALUE`.
+const VALUE_FLAGS: &[&str] = &[
+    "--workers=",
+    "--out=",
+    "--baseline=",
+    "--filter=",
+    "--store=",
+    "--journal=",
+    "--retries=",
+    "--spool=",
+    "--seed=",
+    "--deadline-ms=",
+    "--workloads=",
+    "--designs=",
+    "--cores=",
+    "--slices=",
+    "--clusters=",
+];
+
+const USAGE: &str = "\
+usage: figures [FLAGS] [TARGET...]            (default target: all)
+       figures [FLAGS] SUBCOMMAND [ARGS...]
+
+targets:     table1 fig2..fig12 accuracy all sweep perf
+subcommands: ingest FILE... | query TEXT | gate | journal PATH
+             serve | submit [SPEC] | status | watch [ID] | cancel ID | drain
+
+flags:
+  --quick | --smoke        shorter warm-up and measured windows
+  --workers=N              experiment engine workers (results do not depend on N)
+  --out=PATH               perf report path (default BENCH_perf.json)
+  --baseline=PATH          perf-regression baseline (perf, gate)
+  --filter=SUBSTRING       perf scenarios whose label contains SUBSTRING
+  --list                   perf: print the scenario labels, simulate nothing
+  --store=PATH             results warehouse (default bench/warehouse.bin)
+  --journal=PATH --resume  sweep: journal landed jobs / resume from the journal
+  --retries=N              solo retries of a quarantined job (default 1)
+  --json                   query: print rows as JSON
+  --spool=DIR              service spool (default bench/spool)
+  --seed=N --deadline-ms=N --workloads=A,B --designs=A,B --cores=N,M
+  --slices=KB,KB --clusters=N,M
+                           submit: the submission's seed, deadline and axes
+  --help                   print this summary and exit
+";
+
+/// Rejects what the command line does not understand, before any work:
+/// `--help` prints [`USAGE`] and exits 0; an unknown flag exits 2 naming it.
+fn check_flags(args: &[String]) {
+    if args.iter().any(|a| a == "--help") {
+        print!("{USAGE}");
+        std::process::exit(0);
+    }
+    for arg in args.iter().filter(|a| a.starts_with("--")) {
+        let known =
+            SWITCHES.contains(&arg.as_str()) || VALUE_FLAGS.iter().any(|f| arg.starts_with(f));
+        if !known {
+            let hint = if VALUE_FLAGS.contains(&format!("{arg}=").as_str()) {
+                format!(" (write `{arg}=VALUE`)")
+            } else {
+                String::new()
+            };
+            usage_error(&format!("unknown flag `{arg}`{hint}"));
+        }
+    }
+}
+
+/// Prints `msg` and a pointer to `--help`, and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}\nrun `figures --help` for usage");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    check_flags(&args);
     let quick = args.iter().any(|a| a == "--quick");
     let smoke = args.iter().any(|a| a == "--smoke");
     let engine = match args.iter().find_map(|a| a.strip_prefix("--workers=")) {
@@ -208,6 +300,13 @@ fn main() {
         "drain" => return simple_client_cmd(&spool_dir, Request::Drain),
         _ => {}
     }
+    if let Some(unknown) = targets.iter().find(|t| !TARGETS.contains(&t.as_str())) {
+        usage_error(&format!(
+            "unknown target `{unknown}` (expected one of: {}; or a subcommand: {})",
+            TARGETS.join(" "),
+            SUBCOMMANDS.join(" ")
+        ));
+    }
     if resume && journal_arg.is_none() {
         exit_with("--resume needs --journal=PATH (the journal the interrupted sweep wrote)");
     }
@@ -275,7 +374,7 @@ fn main() {
                 fig11(&cfg, &engine);
                 fig12(c);
             }
-            other => eprintln!("unknown target: {other}"),
+            other => unreachable!("targets were checked against TARGETS: {other}"),
         }
     }
 }

@@ -3,10 +3,17 @@
 //!
 //! Every simulated L2 reference lands in a [`CacheArray`] probe, so the
 //! layout is optimised for the probe path: the tags of a set are contiguous
-//! `u64`s (two cache lines for a 16-way set), per-set occupancy is a single
+//! `u32`s (one cache line for a 16-way set), per-set occupancy is a single
 //! `u64` bitmask, and LRU state is a slab of packed one-byte recency ranks.
 //! Metadata lives in its own parallel slab and is only touched on a hit or
 //! fill, never during the tag scan.
+//!
+//! A tag is the block number above the set-index bits, so it is exact: the
+//! set a block sits in supplies the bits the tag drops, and
+//! `(tag << set_bits) | set` rebuilds the block. A 42-bit physical address
+//! has a 36-bit block number with 64-byte blocks, which leaves at most 32
+//! tag bits once a geometry has 16 or more sets. A fill whose tag would not
+//! fit panics rather than alias; a probe for such a block simply misses.
 
 use crate::stats::CacheStats;
 use rnuca_types::addr::BlockAddr;
@@ -66,10 +73,13 @@ pub enum ProbeEntry {
 pub struct CacheArray<T> {
     geometry: CacheGeometry,
     num_sets: usize,
+    /// `log2(num_sets)`: the block-number bits the set index consumes.
+    set_bits: u32,
     ways: usize,
-    /// Tag slab, `num_sets * ways` long: the block number of each way.
-    /// Meaningful only where the set's occupancy bit is set.
-    tags: Vec<u64>,
+    /// Tag slab, `num_sets * ways` long: each way's block number shifted
+    /// right by `set_bits`. Meaningful only where the set's occupancy bit
+    /// is set.
+    tags: Vec<u32>,
     /// LRU slab, parallel to `tags`: recency rank within the set (0 = MRU).
     /// The occupied ways of a set always hold a permutation of `0..count`.
     ages: Vec<u8>,
@@ -107,8 +117,9 @@ impl<T> CacheArray<T> {
         CacheArray {
             geometry,
             num_sets,
+            set_bits: num_sets.trailing_zeros(),
             ways,
-            tags: rnuca_types::os_hint::filled_hinted(slots, 0u64),
+            tags: rnuca_types::os_hint::filled_hinted(slots, 0u32),
             ages: rnuca_types::os_hint::filled_hinted(slots, AGE_INVALID),
             meta,
             occupied: vec![0; num_sets],
@@ -143,7 +154,21 @@ impl<T> CacheArray<T> {
     }
 
     fn set_index(&self, block: BlockAddr) -> usize {
-        block.set_index(self.num_sets)
+        block.block_number() as usize & (self.num_sets - 1)
+    }
+
+    /// The tag `block` is stored under, or `None` if it needs more than 32
+    /// bits (only possible with fewer than 16 sets; such a block can never
+    /// be resident).
+    #[inline]
+    fn tag_of(&self, block: BlockAddr) -> Option<u32> {
+        u32::try_from(block.block_number() >> self.set_bits).ok()
+    }
+
+    /// The block stored under `tag` in `set`.
+    #[inline]
+    fn block_at(&self, set: usize, tag: u32) -> BlockAddr {
+        BlockAddr::from_block_number((u64::from(tag) << self.set_bits) | set as u64)
     }
 
     /// Hints the CPU to pull `block`'s set — its tag lines and occupancy
@@ -154,11 +179,11 @@ impl<T> CacheArray<T> {
     pub fn prefetch(&self, block: BlockAddr) {
         let set = self.set_index(block);
         let base = set * self.ways;
+        // A set of up to 16 ways holds 64 bytes of tags, which straddle two
+        // cache lines unless the slab happens to be 64-byte aligned: its
+        // first and last tags cover both.
         rnuca_types::index_map::prefetch_read(&self.tags[base]);
-        // A 16-way set spans two 64-byte tag lines; touch the second too.
-        if self.ways > 8 {
-            rnuca_types::index_map::prefetch_read(&self.tags[base + 8]);
-        }
+        rnuca_types::index_map::prefetch_read(&self.tags[base + self.ways - 1]);
         rnuca_types::index_map::prefetch_read(&self.occupied[set]);
         // A hit promotes the way to MRU (ages) and reads its metadata; both
         // slabs are parallel to the tags, one line per set.
@@ -173,7 +198,7 @@ impl<T> CacheArray<T> {
     /// and the probe never mispredicts on tag contents.
     #[inline]
     fn find_way(&self, set: usize, block: BlockAddr) -> Option<usize> {
-        let tag = block.block_number();
+        let tag = self.tag_of(block)?;
         let base = set * self.ways;
         let tags = &self.tags[base..base + self.ways];
         let mut hit_mask = 0u64;
@@ -208,15 +233,6 @@ impl<T> CacheArray<T> {
     pub fn probe(&mut self, block: BlockAddr) -> Option<&T> {
         match self.probe_entry(block) {
             ProbeEntry::Hit(e) => Some(self.entry_meta(e)),
-            ProbeEntry::Miss(_) => None,
-        }
-    }
-
-    /// Looks up a block, updating LRU state and hit/miss counters, returning
-    /// mutable access to the stored metadata on a hit.
-    pub fn probe_mut(&mut self, block: BlockAddr) -> Option<&mut T> {
-        match self.probe_entry(block) {
-            ProbeEntry::Hit(e) => Some(self.entry_meta_mut(e)),
             ProbeEntry::Miss(_) => None,
         }
     }
@@ -275,6 +291,11 @@ impl<T> CacheArray<T> {
     /// resident (which the miss established). If the set is full, the
     /// least-recently-used way is evicted and returned alongside the filled
     /// way's handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block`'s tag needs more than 32 bits, which only a
+    /// geometry with fewer than 16 sets allows (see the module docs).
     pub fn fill_at(
         &mut self,
         slot: SetRef,
@@ -282,6 +303,14 @@ impl<T> CacheArray<T> {
         meta: T,
     ) -> (EntryRef, Option<Eviction<T>>) {
         let set = slot.0 as usize;
+        let tag = self.tag_of(block).unwrap_or_else(|| {
+            panic!(
+                "block {:#x} needs a tag wider than 32 bits in a {}-set cache; \
+                 32-bit tags cover the 42-bit physical space only with at least 16 sets",
+                block.block_number(),
+                self.num_sets
+            )
+        });
         debug_assert!(
             self.find_way(set, block).is_none(),
             "fill_at requires the block to be absent (a preceding probe miss)"
@@ -294,7 +323,7 @@ impl<T> CacheArray<T> {
             self.stats.evictions += 1;
             let base = set * self.ways;
             let victim = Eviction {
-                block: BlockAddr::from_block_number(self.tags[base + w]),
+                block: self.block_at(set, self.tags[base + w]),
                 meta: self.meta[base + w]
                     .take()
                     .expect("occupied way has metadata"),
@@ -306,7 +335,7 @@ impl<T> CacheArray<T> {
             ((!mask).trailing_zeros() as usize, None)
         };
         let base = set * self.ways;
-        self.tags[base + w] = block.block_number();
+        self.tags[base + w] = tag;
         self.meta[base + w] = Some(meta);
         self.occupied[set] |= 1 << w;
         self.resident += 1;
@@ -375,35 +404,6 @@ impl<T> CacheArray<T> {
             .expect("occupied way has metadata")
     }
 
-    /// Removes every resident block for which the predicate returns `true`,
-    /// returning the removed blocks. Used for page shoot-downs during R-NUCA
-    /// re-classification.
-    pub fn invalidate_matching<F>(&mut self, mut pred: F) -> Vec<Eviction<T>>
-    where
-        F: FnMut(BlockAddr, &T) -> bool,
-    {
-        let mut removed = Vec::new();
-        for set in 0..self.num_sets {
-            let base = set * self.ways;
-            let mut mask = self.occupied[set];
-            while mask != 0 {
-                let w = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                let block = BlockAddr::from_block_number(self.tags[base + w]);
-                let keep = {
-                    let meta = self.meta[base + w].as_ref().expect("occupied way");
-                    !pred(block, meta)
-                };
-                if !keep {
-                    self.stats.invalidations += 1;
-                    let meta = self.remove_way(set, w);
-                    removed.push(Eviction { block, meta });
-                }
-            }
-        }
-        removed
-    }
-
     /// Iterates over all resident blocks and their metadata (set order, then way order).
     pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, &T)> {
         self.occupied
@@ -414,7 +414,7 @@ impl<T> CacheArray<T> {
                 (0..self.ways).filter_map(move |w| {
                     if (mask >> w) & 1 == 1 {
                         Some((
-                            BlockAddr::from_block_number(self.tags[base + w]),
+                            self.block_at(set, self.tags[base + w]),
                             self.meta[base + w].as_ref().expect("occupied way"),
                         ))
                     } else {
@@ -457,6 +457,7 @@ impl<T: Clone> Clone for CacheArray<T> {
         CacheArray {
             geometry: self.geometry,
             num_sets: self.num_sets,
+            set_bits: self.set_bits,
             ways: self.ways,
             tags: rnuca_types::os_hint::clone_hinted(&self.tags),
             ages: rnuca_types::os_hint::clone_hinted(&self.ages),
@@ -532,16 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_mut_allows_in_place_update() {
-        let mut c: CacheArray<u32> = CacheArray::new(tiny());
-        c.insert(b(2), 10);
-        if let Some(m) = c.probe_mut(b(2)) {
-            *m += 5;
-        }
-        assert_eq!(c.peek(b(2)), Some(&15));
-    }
-
-    #[test]
     fn invalidate_removes_block() {
         let mut c: CacheArray<u32> = CacheArray::new(tiny());
         c.insert(b(5), 50);
@@ -549,18 +540,6 @@ mod tests {
         assert_eq!(c.invalidate(b(5)), None);
         assert!(!c.contains(b(5)));
         assert_eq!(c.stats().invalidations, 1);
-    }
-
-    #[test]
-    fn invalidate_matching_removes_page_blocks() {
-        let mut c: CacheArray<u64> = CacheArray::new(tiny());
-        for n in 0..8 {
-            c.insert(b(n), n);
-        }
-        // Remove all even block numbers (e.g. "blocks of a page being reclassified").
-        let removed = c.invalidate_matching(|blk, _| blk.block_number() % 2 == 0);
-        assert_eq!(removed.len(), 4);
-        assert!(c.iter().all(|(blk, _)| blk.block_number() % 2 == 1));
     }
 
     #[test]
@@ -648,7 +627,7 @@ mod tests {
         let mut c: CacheArray<u32> = CacheArray::new(tiny());
         c.insert(b(4), 1);
         c.invalidate(b(4));
-        // The tag slab still holds block 4's number in the freed way; the
+        // The tag slab still holds block 4's tag in the freed way; the
         // occupancy mask must keep it from matching.
         assert!(!c.contains(b(4)));
         assert!(c.probe(b(4)).is_none());
@@ -674,6 +653,48 @@ mod tests {
         // And the next victim is 4.
         let ev = c.insert(b(24), 24).expect("full set");
         assert_eq!(ev.block, b(4));
+    }
+
+    #[test]
+    fn blocks_at_the_top_of_the_physical_space_round_trip() {
+        // 16 sets, the fewest whose 32-bit tags cover the 36-bit block
+        // numbers of a 42-bit address.
+        let mut c: CacheArray<u32> =
+            CacheArray::new(CacheGeometry::new(16 * 2 * 64, 2, 64).unwrap());
+        let top = 1u64 << (rnuca_types::addr::PHYS_ADDR_BITS - 6);
+        // Three blocks of set 15 at the very top: the third evicts the first.
+        let (x, y, z) = (top - 1, top - 17, top - 33);
+        c.insert(b(x), 1);
+        c.insert(b(y), 2);
+        assert_eq!(c.probe(b(y)), Some(&2));
+        assert_eq!(
+            c.iter().map(|(blk, _)| blk).collect::<Vec<_>>(),
+            [b(x), b(y)]
+        );
+        let ev = c.insert(b(z), 3).expect("set 15 is full");
+        assert_eq!(ev.block, b(x));
+        assert!(c.contains(b(y)) && c.contains(b(z)));
+    }
+
+    #[test]
+    #[should_panic(expected = "tag wider than 32 bits")]
+    fn fill_panics_when_the_tag_cannot_fit() {
+        // 4 sets leave a 34-bit tag for the top of the physical space.
+        let mut c: CacheArray<u32> = CacheArray::new(tiny());
+        c.insert(b((1 << 36) - 1), 0);
+    }
+
+    #[test]
+    fn probe_of_a_block_whose_tag_cannot_fit_misses() {
+        let mut c: CacheArray<u32> = CacheArray::new(tiny());
+        c.insert(b(5), 0);
+        // Same set, and a tag whose low 32 bits equal block 5's: it must
+        // not alias block 5.
+        let alias = b(5 + (1 << 34));
+        assert!(!c.contains(alias));
+        assert!(c.probe(alias).is_none());
+        assert_eq!(c.invalidate(alias), None);
+        assert!(c.contains(b(5)));
     }
 
     #[test]

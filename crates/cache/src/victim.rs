@@ -201,6 +201,14 @@ impl<T> VictimCache<T> {
         Some(self.take(slot).1)
     }
 
+    /// Heap bytes of the buffer's slabs (tags, metadata and FIFO links).
+    pub fn slab_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.tags[..])
+            + std::mem::size_of_val(&self.metas[..])
+            + std::mem::size_of_val(&self.next[..])
+            + std::mem::size_of_val(&self.prev[..])
+    }
+
     /// Removes all victims.
     pub fn clear(&mut self) {
         for m in &mut self.metas {

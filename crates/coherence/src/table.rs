@@ -52,17 +52,25 @@ pub(crate) type SlotIdx = usize;
 /// The structure-of-arrays entry store.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct EntryTable {
+    /// Empty until the first insert allocates `first_slots` slots.
     keys: Vec<u64>,
     sharers: Vec<u64>,
     owner_dirty: Vec<u16>,
     len: usize,
+    first_slots: usize,
 }
 
 impl EntryTable {
-    /// A table pre-sized for `capacity` entries.
+    /// A table sized for `capacity` entries. The slot arrays are allocated
+    /// by the first insert, so a directory nothing writes owns none.
     pub(crate) fn with_capacity(capacity: usize) -> Self {
-        let slots = (capacity * 8 / 7 + 1).next_power_of_two().max(MIN_SLOTS);
-        Self::with_slots(slots)
+        EntryTable {
+            keys: Vec::new(),
+            sharers: Vec::new(),
+            owner_dirty: Vec::new(),
+            len: 0,
+            first_slots: (capacity * 8 / 7 + 1).next_power_of_two().max(MIN_SLOTS),
+        }
     }
 
     fn with_slots(slots: usize) -> Self {
@@ -74,6 +82,7 @@ impl EntryTable {
             sharers,
             owner_dirty,
             len: 0,
+            first_slots: slots,
         }
     }
 
@@ -103,13 +112,18 @@ impl EntryTable {
     /// most probes miss and never read them.
     #[inline]
     pub(crate) fn prefetch(&self, key: u64) {
-        rnuca_types::index_map::prefetch_read(&self.keys[self.home(key)]);
+        if !self.keys.is_empty() {
+            rnuca_types::index_map::prefetch_read(&self.keys[self.home(key)]);
+        }
     }
 
     /// The slot holding `key`, if present.
     #[inline]
     pub(crate) fn find(&self, key: u64) -> Option<SlotIdx> {
         debug_assert_ne!(key, EMPTY_KEY, "sentinel key cannot be stored");
+        if self.keys.is_empty() {
+            return None;
+        }
         let mask = self.mask();
         let mut i = self.home(key);
         loop {
@@ -222,8 +236,13 @@ impl EntryTable {
         }
     }
 
-    /// Grows the arrays when one more insert would pass a 7/8 load factor.
+    /// Allocates the arrays on the first insert, and grows them when one
+    /// more insert would pass a 7/8 load factor.
     fn reserve_one(&mut self) {
+        if self.keys.is_empty() {
+            *self = Self::with_slots(self.first_slots);
+            return;
+        }
         if (self.len + 1) * 8 <= self.keys.len() * 7 {
             return;
         }
@@ -253,6 +272,7 @@ impl Clone for EntryTable {
             sharers: os_hint::clone_hinted(&self.sharers),
             owner_dirty: os_hint::clone_hinted(&self.owner_dirty),
             len: self.len,
+            first_slots: self.first_slots,
         }
     }
 }

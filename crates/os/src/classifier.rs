@@ -105,6 +105,12 @@ impl OsClassifier {
         &self.page_table
     }
 
+    /// Heap bytes of the page table and every core's TLB. Both allocate on
+    /// their first insert, so a classifier no access reaches owns none.
+    pub fn slab_bytes(&self) -> usize {
+        self.page_table.slab_bytes() + self.tlbs.iter().map(Tlb::slab_bytes).sum::<usize>()
+    }
+
     /// Read access to a core's TLB.
     pub fn tlb(&self, core: CoreId) -> &Tlb {
         &self.tlbs[core.index()]

@@ -18,7 +18,8 @@ use rnuca_types::index_map::U64Map;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Pages the table pre-sizes for; past this it grows by doubling.
+/// Pages the table sizes itself for on its first insert; past this it
+/// grows by doubling.
 const INITIAL_PAGE_CAPACITY: usize = 4_096;
 
 /// The classification recorded for a data page.
@@ -96,7 +97,7 @@ pub struct PageTable {
 impl Default for PageTable {
     fn default() -> Self {
         PageTable {
-            entries: U64Map::with_capacity(INITIAL_PAGE_CAPACITY),
+            entries: U64Map::with_deferred_capacity(INITIAL_PAGE_CAPACITY),
         }
     }
 }

@@ -70,7 +70,7 @@ impl Tlb {
         assert!(capacity > 0, "a TLB needs at least one entry");
         Tlb {
             capacity,
-            map: U64Map::with_capacity(capacity),
+            map: U64Map::with_deferred_capacity(capacity),
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -97,6 +97,14 @@ impl Tlb {
     /// Accumulated statistics.
     pub fn stats(&self) -> &TlbStats {
         &self.stats
+    }
+
+    /// Heap bytes of the page map and the LRU node slab. Both are
+    /// allocated by the first fill, so a TLB never consulted owns none.
+    pub fn slab_bytes(&self) -> usize {
+        self.map.slab_bytes()
+            + std::mem::size_of_val(&self.nodes[..])
+            + std::mem::size_of_val(&self.free[..])
     }
 
     /// Unlinks a node from the LRU list (it remains in the slab).

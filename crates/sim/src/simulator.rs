@@ -28,6 +28,7 @@ use rnuca_types::index_map::U64Map;
 use rnuca_types::{Snap, SnapReader};
 use rnuca_workloads::{TraceSource, WorkloadSpec};
 use serde::{Deserialize, Serialize};
+use std::num::NonZeroU64;
 
 /// How long (in L2 references) a dirty block is assumed to stay in its writer's L1.
 const L1_RESIDENCY_WINDOW: u64 = 64_000;
@@ -83,8 +84,9 @@ const PREFETCH_AHEAD: usize = 8;
 /// victims — would be pure overhead in the hot loop, so it is compiled out
 /// rather than executed for nothing.
 const PREFETCH_ENABLED: bool = cfg!(target_arch = "x86_64");
-/// Entries the dirty-block tracker pre-sizes for; past this it grows by
-/// doubling (the periodic sweep bounds it to two residency windows).
+/// Entries the dirty-block tracker sizes itself for on its first insert;
+/// past this it grows by doubling (the periodic sweep bounds it to two
+/// residency windows).
 const L1_DIRTY_INITIAL_CAPACITY: usize = 16_384;
 
 /// The ASR controller's starting `(allocation probability, adaptive)` pair
@@ -152,11 +154,34 @@ impl Snap for MeasuredRun {
     }
 }
 
-/// Internal per-block record of "dirty and sitting in some core's L1".
+/// Internal per-block record of "dirty and sitting in some core's L1": the
+/// writer's core index in the low 16 bits and the reference clock at the
+/// write in the high 48. The clock starts at 1 (every reference advances it
+/// before stepping), so the word is never zero, and the dirty map's
+/// `Option<(key, entry)>` slots need no separate tag: 16 bytes, not 32.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct L1DirtyEntry {
-    owner: CoreId,
-    stamp: u64,
+struct L1DirtyEntry(NonZeroU64);
+
+impl L1DirtyEntry {
+    /// Width of the stamp field.
+    const STAMP_BITS: u32 = 48;
+
+    fn new(owner: CoreId, stamp: u64) -> Self {
+        assert!(
+            stamp < 1 << Self::STAMP_BITS,
+            "reference clock {stamp} overflows the 48-bit dirty-map stamp"
+        );
+        let word = (stamp << (64 - Self::STAMP_BITS)) | owner.index() as u64;
+        L1DirtyEntry(NonZeroU64::new(word).expect("the reference clock starts at 1"))
+    }
+
+    fn owner(self) -> CoreId {
+        CoreId::new((self.0.get() & 0xFFFF) as usize)
+    }
+
+    fn stamp(self) -> u64 {
+        self.0.get() >> (64 - Self::STAMP_BITS)
+    }
 }
 
 /// The simulator for one `(design, workload)` pair.
@@ -182,13 +207,16 @@ pub struct CmpSimulator {
     block_bytes: usize,
     page_bytes: usize,
     num_tiles: usize,
+    /// One tile per core; empty under the Ideal design, which probes only
+    /// its aggregate array.
     tiles: Vec<Tile>,
     mem: MemorySystem,
     os: OsClassifier,
     placement: PlacementEngine,
     l2_directory: Directory,
     /// Dirty-in-some-L1 tracking, keyed by block number (open-addressed —
-    /// this map is probed on every single reference).
+    /// this map is probed on every single reference). Allocated by the
+    /// first write, so the Ideal design, which never writes it, owns none.
     l1_dirty: U64Map<L1DirtyEntry>,
     ideal_cache: Option<CacheArray<BlockMeta>>,
     /// Reusable batch buffer for trace generation (see [`Self::drive`]).
@@ -283,14 +311,17 @@ impl CmpSimulator {
             block_bytes,
             page_bytes: config.memory.page_bytes,
             num_tiles,
-            tiles: (0..config.num_tiles())
-                .map(|i| Tile::new(TileId::new(i), &config))
-                .collect(),
+            tiles: match design {
+                LlcDesign::Ideal => Vec::new(),
+                _ => (0..num_tiles)
+                    .map(|i| Tile::new(TileId::new(i), &config))
+                    .collect(),
+            },
             mem: MemorySystem::new(&config),
             os: OsClassifier::new(config.num_cores, 512),
             placement: PlacementEngine::new(placement_config),
-            l2_directory: Directory::new(config.num_tiles()),
-            l1_dirty: U64Map::with_capacity(L1_DIRTY_INITIAL_CAPACITY),
+            l2_directory: Directory::new(num_tiles),
+            l1_dirty: U64Map::with_deferred_capacity(L1_DIRTY_INITIAL_CAPACITY),
             ideal_cache,
             trace_buf: Vec::new(),
             rng: StdRng::seed_from_u64(seed ^ SIM_SEED_SALT),
@@ -324,7 +355,8 @@ impl CmpSimulator {
         &self.config
     }
 
-    /// Read access to the per-tile state (for occupancy inspection in tests and reports).
+    /// Read access to the per-tile state (for occupancy inspection in tests
+    /// and reports). Empty under the Ideal design, which has no slices.
     pub fn tiles(&self) -> &[Tile] {
         &self.tiles
     }
@@ -363,6 +395,9 @@ impl CmpSimulator {
             self.step_batch(&buf);
             remaining -= batch;
         }
+        // Keep the allocation for the next call, but not the references:
+        // a clone of the simulator then copies none of them.
+        buf.clear();
         self.trace_buf = buf;
     }
 
@@ -657,24 +692,19 @@ impl CmpSimulator {
         // the expired-entry removal.
         let slot = self.l1_dirty.find_slot(block.block_number())?;
         let e = *self.l1_dirty.slot_value(slot);
-        if stamp.saturating_sub(e.stamp) >= L1_RESIDENCY_WINDOW {
+        if stamp.saturating_sub(e.stamp()) >= L1_RESIDENCY_WINDOW {
             self.l1_dirty.remove_slot(slot);
             None
-        } else if e.owner != requester {
-            Some(e.owner)
+        } else if e.owner() != requester {
+            Some(e.owner())
         } else {
             None
         }
     }
 
     fn note_write(&mut self, block: BlockAddr, writer: CoreId) {
-        self.l1_dirty.insert(
-            block.block_number(),
-            L1DirtyEntry {
-                owner: writer,
-                stamp: self.clock,
-            },
-        );
+        self.l1_dirty
+            .insert(block.block_number(), L1DirtyEntry::new(writer, self.clock));
     }
 
     fn clear_dirty(&mut self, block: BlockAddr) {
@@ -692,7 +722,7 @@ impl CmpSimulator {
     fn sweep_expired_l1_dirty(&mut self) {
         let clock = self.clock;
         self.l1_dirty
-            .retain(|_, e| clock.saturating_sub(e.stamp) < L1_RESIDENCY_WINDOW);
+            .retain(|_, e| clock.saturating_sub(e.stamp()) < L1_RESIDENCY_WINDOW);
     }
 
     /// Drops the dirty-tracking entries of every block in `page` (an R-NUCA
@@ -716,10 +746,7 @@ impl CmpSimulator {
 
     fn step_ideal(&mut self, access: &MemoryAccess) {
         let block = access.addr.block(self.block_bytes());
-        let meta = BlockMeta {
-            class: access.class,
-            dirty: access.kind.is_write(),
-        };
+        let meta = BlockMeta::new(access.class, access.kind.is_write());
         let cache = self
             .ideal_cache
             .as_mut()
@@ -775,14 +802,7 @@ impl CmpSimulator {
                 self.charge(cost, CpiComponent::L1ToL1);
                 // The downgrade leaves a clean copy at the home slice.
                 self.clear_dirty(block);
-                self.fill_home(
-                    home,
-                    block,
-                    BlockMeta {
-                        class: access.class,
-                        dirty: true,
-                    },
-                );
+                self.fill_home(home, block, BlockMeta::new(access.class, true));
             }
             return;
         }
@@ -790,7 +810,7 @@ impl CmpSimulator {
         match self.tiles[home.index()].access(block) {
             TileAccess::Hit(entry) => {
                 if access.kind.is_write() {
-                    self.tiles[home.index()].meta_mut(entry).dirty = true;
+                    self.tiles[home.index()].meta_mut(entry).mark_dirty();
                     self.note_write(block, core);
                     self.charge(STORE_COST, CpiComponent::Other);
                 } else {
@@ -812,10 +832,7 @@ impl CmpSimulator {
                     home,
                     slot,
                     block,
-                    BlockMeta {
-                        class: access.class,
-                        dirty: access.kind.is_write(),
-                    },
+                    BlockMeta::new(access.class, access.kind.is_write()),
                 );
                 if access.kind.is_write() {
                     self.note_write(block, core);
@@ -829,7 +846,7 @@ impl CmpSimulator {
 
     fn fill_home(&mut self, home: TileId, block: BlockAddr, meta: BlockMeta) {
         if let Some((evicted, evicted_meta)) = self.tiles[home.index()].fill(block, meta) {
-            if evicted_meta.dirty {
+            if evicted_meta.is_dirty() {
                 self.mem.writeback(evicted.base_addr(self.block_bytes()));
             }
         }
@@ -839,7 +856,7 @@ impl CmpSimulator {
     /// through the handle instead of re-searching the slice.
     fn fill_home_at(&mut self, home: TileId, slot: SetRef, block: BlockAddr, meta: BlockMeta) {
         if let Some((evicted, evicted_meta)) = self.tiles[home.index()].fill_at(slot, block, meta) {
-            if evicted_meta.dirty {
+            if evicted_meta.is_dirty() {
                 self.mem.writeback(evicted.base_addr(self.block_bytes()));
             }
         }
@@ -898,10 +915,7 @@ impl CmpSimulator {
         let tile = core.tile();
         let block = access.addr.block(self.block_bytes());
         let dir_home = self.placement.shared_home(block);
-        let meta = BlockMeta {
-            class: access.class,
-            dirty: false,
-        };
+        let meta = BlockMeta::new(access.class, false);
 
         // Remote-L1 dirty data: local slice probe, directory lookup, forward,
         // remote slice + L1 probe, data response (Section 5.3's description of
@@ -1002,7 +1016,7 @@ impl CmpSimulator {
             self.mem.read(access.addr);
         }
         let mut dirty_meta = meta;
-        dirty_meta.dirty = true;
+        dirty_meta.mark_dirty();
         self.fill_private(tile, block, dirty_meta, true);
     }
 
@@ -1025,7 +1039,7 @@ impl CmpSimulator {
             self.mem.read(access.addr);
         }
         let mut dirty_meta = meta;
-        dirty_meta.dirty = true;
+        dirty_meta.mark_dirty();
         match outcome {
             TileAccess::Hit(entry) => *self.tiles[tile.index()].meta_mut(entry) = dirty_meta,
             TileAccess::Miss(slot) => self.fill_private_at(tile, slot, block, dirty_meta),
@@ -1040,7 +1054,7 @@ impl CmpSimulator {
         }
         if let Some((evicted, evicted_meta)) = self.tiles[tile.index()].fill(block, meta) {
             let writeback = self.l2_directory.handle_eviction(evicted, tile);
-            if writeback || evicted_meta.dirty {
+            if writeback || evicted_meta.is_dirty() {
                 self.mem.writeback(evicted.base_addr(self.block_bytes()));
             }
         }
@@ -1050,7 +1064,7 @@ impl CmpSimulator {
     fn fill_private_at(&mut self, tile: TileId, slot: SetRef, block: BlockAddr, meta: BlockMeta) {
         if let Some((evicted, evicted_meta)) = self.tiles[tile.index()].fill_at(slot, block, meta) {
             let writeback = self.l2_directory.handle_eviction(evicted, tile);
-            if writeback || evicted_meta.dirty {
+            if writeback || evicted_meta.is_dirty() {
                 self.mem.writeback(evicted.base_addr(self.block_bytes()));
             }
         }
@@ -1114,16 +1128,22 @@ impl CmpSimulator {
         self.design = design;
     }
 
-    /// Heap bytes of the simulator's large slabs: the LLC slices (and the
-    /// ideal design's aggregate array), the directory entry table, the
-    /// dirty-block map and the page table. Victim buffers, TLBs and latency
-    /// tables are a few kilobytes and not counted.
+    /// Heap bytes of every slab the simulator owns: the LLC slices and
+    /// their victim buffers (or the ideal design's aggregate array), the
+    /// directory entry table, the dirty-block map, the OS page table and
+    /// per-core TLBs (1 MB together at 64 cores once R-NUCA fills them),
+    /// the latency tables and the batch buffer. The directory, the
+    /// dirty-block map and the OS state are allocated by their first
+    /// insert, so a design that never writes one owns none of it.
     pub fn slab_bytes(&self) -> usize {
         self.tiles.iter().map(Tile::slab_bytes).sum::<usize>()
             + self.ideal_cache.as_ref().map_or(0, CacheArray::slab_bytes)
             + self.l2_directory.slab_bytes()
             + self.l1_dirty.slab_bytes()
-            + self.os.page_table().slab_bytes()
+            + self.os.slab_bytes()
+            + std::mem::size_of_val(&self.control_lut[..])
+            + std::mem::size_of_val(&self.data_lut[..])
+            + self.trace_buf.capacity() * std::mem::size_of::<MemoryAccess>()
     }
 }
 
@@ -1400,6 +1420,92 @@ mod tests {
         let second_fresh = fresh.run_measured(&mut gen_fresh, 8_000);
 
         assert_eq!(second, second_fresh, "measured windows must be independent");
+    }
+
+    #[test]
+    fn l1_dirty_entries_pack_owner_and_stamp_into_a_niche_word() {
+        assert_eq!(std::mem::size_of::<Option<(u64, L1DirtyEntry)>>(), 16);
+        let top = (1u64 << L1DirtyEntry::STAMP_BITS) - 1;
+        for (owner, stamp) in [(0, 1), (63, 64_000), (u16::MAX as usize, top)] {
+            let e = L1DirtyEntry::new(CoreId::new(owner), stamp);
+            assert_eq!((e.owner().index(), e.stamp()), (owner, stamp));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the 48-bit dirty-map stamp")]
+    fn l1_dirty_stamp_past_48_bits_panics() {
+        L1DirtyEntry::new(CoreId::new(0), 1 << L1DirtyEntry::STAMP_BITS);
+    }
+
+    #[test]
+    fn each_design_owns_only_the_slabs_it_probes() {
+        // 64 cores with 1 MB 16-way slices, as in the fused 64-core runs.
+        let config = SystemConfig::server_16().with_core_count(64).unwrap();
+        let spec = WorkloadSpec::oltp_db2().with_system_config(config);
+        let geometry = config.l2_slice.geometry;
+        let (sets, ways) = (geometry.num_sets(), geometry.ways);
+        // Tags (4 B), LRU ranks (1 B) and metadata (1 B) per way, plus one
+        // occupancy word per set.
+        let llc_bound = |g: CacheGeometry| g.num_blocks() * 6 + g.num_sets() * 8;
+        let victim_bytes =
+            rnuca_cache::VictimCache::<BlockMeta>::new(config.l2_slice.victim_entries).slab_bytes();
+        let designs = [
+            LlcDesign::Private,
+            LlcDesign::Asr {
+                policy: AsrPolicy::Adaptive,
+            },
+            LlcDesign::Shared,
+            LlcDesign::rnuca_default(),
+            LlcDesign::Ideal,
+        ];
+        let mut gen = TraceGenerator::new(&spec, 3);
+        let mut stream = Vec::new();
+        gen.fill_into(20_000, &mut stream);
+        for design in designs {
+            let mut sim = CmpSimulator::with_seed(design, &spec, 3);
+            // Fresh: the LLC arrays cost at most 6 B per way plus a word per
+            // set, and nothing allocates ahead of its first insert.
+            let llc: usize = sim
+                .tiles
+                .iter()
+                .map(|t| t.slab_bytes() - victim_bytes)
+                .chain(sim.ideal_cache.as_ref().map(CacheArray::slab_bytes))
+                .sum();
+            let bound = match design {
+                LlcDesign::Ideal => llc_bound(sim.ideal_cache.as_ref().unwrap().geometry()),
+                _ => 64 * llc_bound(geometry),
+            };
+            assert!(llc <= bound, "{design}: {llc} B of LLC arrays > {bound} B");
+            assert_eq!(bound, sets * 64 * (ways * 6 + 8));
+            assert_eq!(
+                sim.l2_directory.slab_bytes(),
+                0,
+                "{design}: fresh directory"
+            );
+            assert_eq!(sim.l1_dirty.slab_bytes(), 0, "{design}: fresh dirty map");
+            assert_eq!(sim.os.slab_bytes(), 0, "{design}: fresh OS state");
+
+            // Warmed: each design owns exactly the structures it probes.
+            sim.step_batch(&stream);
+            let owns_tiles = design != LlcDesign::Ideal;
+            let owns_directory = matches!(design, LlcDesign::Private | LlcDesign::Asr { .. });
+            let owns_dirty_map = design != LlcDesign::Ideal;
+            let owns_os = matches!(design, LlcDesign::RNuca { .. });
+            assert_eq!(sim.tiles.len(), if owns_tiles { 64 } else { 0 }, "{design}");
+            assert_eq!(
+                sim.l2_directory.slab_bytes() > 0,
+                owns_directory,
+                "{design}"
+            );
+            assert_eq!(sim.l1_dirty.slab_bytes() > 0, owns_dirty_map, "{design}");
+            assert_eq!(sim.os.slab_bytes() > 0, owns_os, "{design}");
+            assert_eq!(sim.os.page_table().slab_bytes() > 0, owns_os, "{design}");
+            let tlb_bytes: usize = (0..64)
+                .map(|c| sim.os.tlb(CoreId::new(c)).slab_bytes())
+                .sum();
+            assert_eq!(tlb_bytes > 0, owns_os, "{design}");
+        }
     }
 
     #[test]

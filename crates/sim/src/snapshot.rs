@@ -227,7 +227,7 @@ impl SimSnapshot {
         );
     }
 
-    /// Heap bytes of the template's large slabs (see
+    /// Heap bytes of every slab the template owns (see
     /// [`CmpSimulator::slab_bytes`]).
     pub fn packed_bytes(&self) -> usize {
         self.template.slab_bytes()

@@ -11,7 +11,6 @@ use rnuca_types::access::AccessClass;
 use rnuca_types::addr::{BlockAddr, PageAddr};
 use rnuca_types::config::SystemConfig;
 use rnuca_types::ids::TileId;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of a single-probe [`Tile::access`]: a located resident block, or
 /// the slice set a subsequent [`Tile::fill_at`] should fill.
@@ -31,18 +30,62 @@ impl TileAccess {
     }
 }
 
-/// Metadata stored with every block resident in an L2 slice.
+/// Metadata stored with every block resident in an L2 slice: the block's
+/// access class and whether the resident copy is dirty.
 ///
-/// Deliberately two bytes: the metadata slab is touched on every hit and
-/// fill, so its footprint is hot-loop state. (R-NUCA page shoot-downs walk
-/// the page's block addresses, so blocks do not need to remember their
-/// page.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BlockMeta {
+/// One byte whose unused bit patterns leave the compiler a niche, so the
+/// slice's `Option<BlockMeta>` slab costs one byte per way too. The
+/// metadata slab is touched on every hit and fill, so its footprint is
+/// hot-loop state. (R-NUCA page shoot-downs walk the page's block
+/// addresses, so blocks do not need to remember their page.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockMeta(MetaByte);
+
+/// The six `(class, dirty)` states of a [`BlockMeta`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MetaByte {
+    Instruction,
+    PrivateData,
+    SharedData,
+    DirtyInstruction,
+    DirtyPrivateData,
+    DirtySharedData,
+}
+
+impl BlockMeta {
+    /// Metadata for a block of `class`, dirty or clean.
+    pub fn new(class: AccessClass, dirty: bool) -> Self {
+        BlockMeta(match (class, dirty) {
+            (AccessClass::Instruction, false) => MetaByte::Instruction,
+            (AccessClass::PrivateData, false) => MetaByte::PrivateData,
+            (AccessClass::SharedData, false) => MetaByte::SharedData,
+            (AccessClass::Instruction, true) => MetaByte::DirtyInstruction,
+            (AccessClass::PrivateData, true) => MetaByte::DirtyPrivateData,
+            (AccessClass::SharedData, true) => MetaByte::DirtySharedData,
+        })
+    }
+
     /// Ground-truth access class of the block (used only for statistics).
-    pub class: AccessClass,
+    pub fn class(self) -> AccessClass {
+        match self.0 {
+            MetaByte::Instruction | MetaByte::DirtyInstruction => AccessClass::Instruction,
+            MetaByte::PrivateData | MetaByte::DirtyPrivateData => AccessClass::PrivateData,
+            MetaByte::SharedData | MetaByte::DirtySharedData => AccessClass::SharedData,
+        }
+    }
+
     /// Whether the resident copy is dirty with respect to memory.
-    pub dirty: bool,
+    pub fn is_dirty(self) -> bool {
+        matches!(
+            self.0,
+            MetaByte::DirtyInstruction | MetaByte::DirtyPrivateData | MetaByte::DirtySharedData
+        )
+    }
+
+    /// Marks the resident copy dirty, keeping its class.
+    pub fn mark_dirty(&mut self) {
+        *self = BlockMeta::new(self.class(), true);
+    }
 }
 
 /// One tile: an L2 slice plus its victim buffer.
@@ -136,17 +179,6 @@ impl Tile {
         self.slice.contains(block) || self.victims.contains(block)
     }
 
-    /// Marks a resident block dirty; returns `true` if the block was resident.
-    pub fn mark_dirty(&mut self, block: BlockAddr) -> bool {
-        match self.slice.probe_mut(block) {
-            Some(meta) => {
-                meta.dirty = true;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Fills a block into the slice, returning the displaced block (if any)
     /// after it has been parked in the victim buffer and finally dropped.
     ///
@@ -186,9 +218,9 @@ impl Tile {
         self.slice.len()
     }
 
-    /// Heap bytes of the slice array's slabs.
+    /// Heap bytes of the slice array's and the victim buffer's slabs.
     pub fn slab_bytes(&self) -> usize {
-        self.slice.slab_bytes()
+        self.slice.slab_bytes() + self.victims.slab_bytes()
     }
 
     /// Statistics of the slice array.
@@ -202,7 +234,7 @@ impl Tile {
         let mut private = 0;
         let mut shared = 0;
         for (_, meta) in self.slice.iter() {
-            match meta.class {
+            match meta.class() {
                 AccessClass::Instruction => instr += 1,
                 AccessClass::PrivateData => private += 1,
                 AccessClass::SharedData => shared += 1,
@@ -217,10 +249,7 @@ mod tests {
     use super::*;
 
     fn meta(class: AccessClass) -> BlockMeta {
-        BlockMeta {
-            class,
-            dirty: false,
-        }
+        BlockMeta::new(class, false)
     }
 
     fn tile() -> Tile {
@@ -259,11 +288,22 @@ mod tests {
     }
 
     #[test]
-    fn mark_dirty_only_affects_resident_blocks() {
-        let mut t = tile();
-        assert!(!t.mark_dirty(b(9)));
-        t.fill(b(9), meta(AccessClass::SharedData));
-        assert!(t.mark_dirty(b(9)));
+    fn block_meta_is_one_byte_and_keeps_a_niche() {
+        assert_eq!(std::mem::size_of::<BlockMeta>(), 1);
+        assert_eq!(std::mem::size_of::<Option<BlockMeta>>(), 1);
+        for class in [
+            AccessClass::Instruction,
+            AccessClass::PrivateData,
+            AccessClass::SharedData,
+        ] {
+            for dirty in [false, true] {
+                let m = BlockMeta::new(class, dirty);
+                assert_eq!((m.class(), m.is_dirty()), (class, dirty));
+                let mut d = m;
+                d.mark_dirty();
+                assert_eq!((d.class(), d.is_dirty()), (class, true));
+            }
+        }
     }
 
     #[test]

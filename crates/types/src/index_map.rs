@@ -46,6 +46,8 @@ pub struct U64Map<V> {
     slots: Vec<Option<(u64, V)>>,
     /// Number of occupied slots.
     len: usize,
+    /// Slots the first insert allocates.
+    first_slots: usize,
 }
 
 impl<V> U64Map<V> {
@@ -54,18 +56,26 @@ impl<V> U64Map<V> {
         U64Map {
             slots: Vec::new(),
             len: 0,
+            first_slots: MIN_SLOTS,
         }
     }
 
     /// Creates a map pre-sized to hold `capacity` entries without growing.
     pub fn with_capacity(capacity: usize) -> Self {
-        if capacity == 0 {
-            return Self::new();
+        let mut map = Self::with_deferred_capacity(capacity);
+        if capacity > 0 {
+            map.slots = new_slot_vec(map.first_slots);
         }
-        let slots = slots_for(capacity);
+        map
+    }
+
+    /// Creates a map that allocates room for `capacity` entries on its first
+    /// insert, not before: a map that is never written owns no slot array,
+    /// and one that is grows exactly as [`U64Map::with_capacity`] would.
+    pub fn with_deferred_capacity(capacity: usize) -> Self {
         U64Map {
-            slots: new_slot_vec(slots),
-            len: 0,
+            first_slots: slots_for(capacity),
+            ..Self::new()
         }
     }
 
@@ -306,7 +316,7 @@ impl<V> U64Map<V> {
     /// past 7/8.
     fn reserve_one(&mut self) {
         if self.slots.is_empty() {
-            self.slots = new_slot_vec(MIN_SLOTS);
+            self.slots = new_slot_vec(self.first_slots);
             return;
         }
         if (self.len + 1) * 8 > self.slots.len() * 7 {
@@ -456,6 +466,23 @@ mod tests {
             slots,
             "no growth within the requested capacity"
         );
+    }
+
+    #[test]
+    fn deferred_capacity_allocates_on_the_first_insert() {
+        let mut m: U64Map<u64> = U64Map::with_deferred_capacity(100);
+        assert_eq!((m.capacity_slots(), m.slab_bytes()), (0, 0));
+        assert_eq!(m.get(7), None);
+        assert_eq!(m.remove(7), None);
+        m.retain(|_, _| true);
+        m.prefetch(7);
+        assert_eq!(m.capacity_slots(), 0, "reads never allocate");
+        m.insert(7, 70);
+        assert_eq!(
+            m.capacity_slots(),
+            U64Map::<u64>::with_capacity(100).capacity_slots()
+        );
+        assert_eq!(m.get(7), Some(&70));
     }
 
     #[test]
