@@ -64,12 +64,13 @@
 //! running anything.
 //!
 //! Panic quarantine: every sweep runs under per-job supervision — a
-//! scenario whose every attempt panics is quarantined (with `--retries=N`
-//! solo retries under seeded backoff, default 1) instead of killing the
-//! sweep, journaled as a typed failure entry (`--resume` skips it rather
-//! than re-crashing), recorded as a queryable `kind=failed` warehouse row,
-//! and listed in a `"failures"` array in the JSON (its `results` slot is
-//! `null`). The sweep still finishes its output, then exits 1.
+//! scenario whose every attempt panics, or overruns `--deadline-ms=N`, is
+//! quarantined (with `--retries=N` solo retries under seeded backoff,
+//! default 1) instead of killing the sweep, journaled as a typed failure
+//! entry (`--resume` skips it rather than re-crashing), recorded as a
+//! queryable `kind=failed` warehouse row, and listed in a `"failures"`
+//! array in the JSON (its `results` slot is `null`). The sweep still
+//! finishes its output, then exits 1.
 //!
 //! The experiment service (`figures serve`) runs sweeps as a resident job
 //! server over a Unix socket in `--spool=DIR` (default `bench/spool`);
@@ -103,7 +104,7 @@ use rnuca_sim::{
 use rnuca_types::access::AccessClass;
 use rnuca_types::config::SystemConfig;
 use rnuca_types::ids::TileId;
-use rnuca_types::{BackoffConfig, RetryPolicy};
+use rnuca_types::RetryPolicy;
 use rnuca_warehouse::{render_errors, Warehouse};
 use rnuca_workloads::{TraceArena, WorkloadSpec};
 use std::path::Path;
@@ -163,11 +164,12 @@ flags:
   --store=PATH             results warehouse (default bench/warehouse.bin)
   --journal=PATH --resume  sweep: journal landed jobs / resume from the journal
   --retries=N              solo retries of a quarantined job (default 1)
+  --deadline-ms=N          sweep, submit: per-attempt deadline (default 0: none)
   --json                   query: print rows as JSON
   --spool=DIR              service spool (default bench/spool)
-  --seed=N --deadline-ms=N --workloads=A,B --designs=A,B --cores=N,M
+  --seed=N --workloads=A,B --designs=A,B --cores=N,M
   --slices=KB,KB --clusters=N,M
-                           submit: the submission's seed, deadline and axes
+                           submit: the submission's seed and axes
   --help                   print this summary and exit
 ";
 
@@ -242,6 +244,12 @@ fn main() {
             .unwrap_or_else(|_| exit_with(&format!("--retries must be a number, got {n}"))),
         None => 1,
     };
+    let deadline_ms = match args.iter().find_map(|a| a.strip_prefix("--deadline-ms=")) {
+        Some(n) => n
+            .parse::<u64>()
+            .unwrap_or_else(|_| exit_with(&format!("--deadline-ms must be a number, got {n}"))),
+        None => 0,
+    };
     let spool_dir = args
         .iter()
         .find_map(|a| a.strip_prefix("--spool="))
@@ -288,7 +296,16 @@ fn main() {
                 &args,
             )
         }
-        "submit" => return submit_cmd(&spool_dir, &args, cfg_label, retries, &targets[1..]),
+        "submit" => {
+            return submit_cmd(
+                &spool_dir,
+                &args,
+                cfg_label,
+                retries,
+                deadline_ms,
+                &targets[1..],
+            )
+        }
         "status" => return simple_client_cmd(&spool_dir, Request::Status),
         "watch" => return watch_cmd(&spool_dir, &targets[1..]),
         "cancel" => {
@@ -346,7 +363,7 @@ fn main() {
                 store_path.as_deref(),
                 journal_arg.as_deref(),
                 resume,
-                retries,
+                &RetryPolicy::service(retries, deadline_ms),
             ),
             "perf" if perf_list => perf_list_only(&cfg, perf_filter.as_deref()),
             "perf" => perf(
@@ -393,10 +410,9 @@ fn sweep(
     store_path: Option<&str>,
     journal: Option<&str>,
     resume: bool,
-    retries: u32,
+    policy: &RetryPolicy,
 ) {
     let matrix = rnuca_bench::default_sweep_matrix(cfg);
-    let policy = RetryPolicy::immediate(retries).with_backoff(BackoffConfig::default_service());
     if let Some(jpath) = journal {
         let exists = Path::new(jpath).exists();
         if !resume && exists {
@@ -417,9 +433,10 @@ fn sweep(
             engine,
             &TraceArena::new(),
             &SnapshotArena::new(),
-            &policy,
+            policy,
             journal.map(|jpath| (Path::new(jpath), resume)),
             store.as_ref(),
+            None,
         )
         .unwrap_or_else(|e| exit_sweep_error(journal.unwrap_or_default(), e));
     if let (Some(store), Some(spath), Some(summary)) = (&store, store_path, appended) {
@@ -502,7 +519,14 @@ fn connect_service(spool: &str) -> ServiceClient {
 
 /// `figures submit`: build a spec from the active config and axis flags (or
 /// take a raw `v1|...` spec line as the positional) and queue it.
-fn submit_cmd(spool: &str, args: &[String], cfg_label: &str, retries: u32, rest: &[String]) {
+fn submit_cmd(
+    spool: &str,
+    args: &[String],
+    cfg_label: &str,
+    retries: u32,
+    deadline_ms: u64,
+    rest: &[String],
+) {
     let spec_line = match rest.first() {
         Some(raw) => raw.clone(),
         None => {
@@ -516,10 +540,6 @@ fn submit_cmd(spool: &str, args: &[String], cfg_label: &str, retries: u32, rest:
                 .iter()
                 .find_map(|a| a.strip_prefix("--seed="))
                 .unwrap_or("-");
-            let deadline_ms = args
-                .iter()
-                .find_map(|a| a.strip_prefix("--deadline-ms="))
-                .unwrap_or("0");
             format!(
                 "v1|config={cfg_label}|seed={seed}|workloads={}|designs={}|cores={}|slices={}\
                  |clusters={}|retries={retries}|deadline_ms={deadline_ms}",

@@ -480,6 +480,7 @@ mod tests {
                 &RetryPolicy::immediate(0),
                 None,
                 None,
+                None,
             )
             .unwrap();
 

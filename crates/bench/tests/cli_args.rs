@@ -1,6 +1,8 @@
 //! The figures CLI rejects what it does not understand: an unknown flag or
 //! target exits 2 naming it before any work starts, and `--help` prints the
-//! usage summary and exits 0 without running anything.
+//! usage summary and exits 0 without running anything. A flag it accepts
+//! is not silently ignored: `--deadline-ms=` bounds a sweep as it bounds a
+//! submission.
 
 use std::process::{Command, Output};
 
@@ -61,4 +63,15 @@ fn known_flags_and_targets_still_run() {
     let out = figures(&["--smoke", "--workers=1", "fig6"]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
     assert!(!out.stdout.is_empty());
+}
+
+#[test]
+fn sweep_honours_the_deadline_flag() {
+    // A 1 ms deadline stops every quick-config attempt inside its warm-up,
+    // so every job is quarantined as `deadline` and the sweep exits 1.
+    // No retries: the failure is the same, without the backoff pauses.
+    let out = figures(&["--quick", "--deadline-ms=1", "--retries=0", "sweep"]);
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr_of(&out));
+    let stderr = stderr_of(&out);
+    assert!(stderr.contains("(deadline)"), "stderr: {stderr}");
 }

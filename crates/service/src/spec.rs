@@ -15,9 +15,8 @@
 //! fingerprint, making resubmission of an identical spec idempotent).
 
 use rnuca_sim::{AsrPolicy, ExperimentConfig, LlcDesign, ScenarioMatrix};
-use rnuca_types::retry::{BackoffConfig, RetryPolicy};
+use rnuca_types::retry::RetryPolicy;
 use rnuca_workloads::WorkloadSpec;
-use std::time::Duration;
 
 /// A parsed submission: the matrix axes plus the supervision policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -230,16 +229,11 @@ impl SubmitSpec {
         Ok(matrix)
     }
 
-    /// The retry policy supervising this submission's solo re-runs:
-    /// `retries` extra attempts, the service's seeded backoff, and the
-    /// spec's per-attempt deadline when one is set.
+    /// The retry policy supervising this submission:
+    /// [`RetryPolicy::service`] over the spec's `retries` and
+    /// `deadline_ms`.
     pub fn policy(&self) -> RetryPolicy {
-        let policy =
-            RetryPolicy::immediate(self.retries).with_backoff(BackoffConfig::default_service());
-        match self.deadline_ms {
-            0 => policy,
-            ms => policy.with_deadline(Duration::from_millis(ms)),
-        }
+        RetryPolicy::service(self.retries, self.deadline_ms)
     }
 
     /// The submission id: the matrix fingerprint, rendered. Identical specs

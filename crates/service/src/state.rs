@@ -75,7 +75,8 @@ pub struct Claim {
     pub id: String,
     /// The submission's spec.
     pub spec: SubmitSpec,
-    /// Set when the runner must stop between chunks (drain or cancel).
+    /// Set to stop the submission's sweep before its next fused group or
+    /// solo job is claimed (drain or cancel).
     pub stop: Arc<AtomicBool>,
     /// Set only by `cancel` — distinguishes a cancelled stop from a drain.
     pub cancelled: Arc<AtomicBool>,
@@ -197,8 +198,8 @@ impl Registry {
     }
 
     /// Requests cancellation. A queued submission is cancelled on the spot;
-    /// a running one has its stop flag raised and the runner finishes the
-    /// in-flight chunk before marking it cancelled.
+    /// a running one has its stop flag raised and the runner lets the
+    /// groups in flight land before marking it cancelled.
     ///
     /// # Errors
     ///
@@ -225,9 +226,9 @@ impl Registry {
         Ok(state)
     }
 
-    /// Starts draining: no new submissions, the runner stops after its
-    /// in-flight chunk, everything unfinished stays journaled in the spool
-    /// for the next start.
+    /// Starts draining: no new submissions, the runner stops once its
+    /// in-flight groups land, everything unfinished stays journaled in the
+    /// spool for the next start.
     pub fn drain(&self) {
         let mut inner = self.inner.lock().expect("registry lock");
         inner.draining = true;

@@ -127,3 +127,47 @@ fn a_draining_service_refuses_new_submissions() {
     assert!(!config.store.exists(), "nothing ran, nothing was saved");
     std::fs::remove_dir_all(&root).ok();
 }
+
+#[test]
+fn a_deadline_quarantines_every_job_of_a_submission() {
+    let root = temp_root("deadline");
+    let config = ServiceConfig {
+        spool: root.join("spool"),
+        store: root.join("warehouse.bin"),
+        workers: 2,
+    };
+    let server = {
+        let config = config.clone();
+        thread::spawn(move || serve(&config))
+    };
+    let socket = config.spool.join("service.sock");
+    let mut client = ServiceClient::connect_with_retry(&socket, Duration::from_secs(10))
+        .expect("service comes up");
+
+    // A 600k-reference warm-up cannot finish inside 1 ms: every attempt,
+    // group and solo, stops at the deadline.
+    let spec = SubmitSpec {
+        config: "full".to_string(),
+        workloads: vec!["oltp-db2".to_string()],
+        designs: vec!["S".to_string(), "R".to_string()],
+        core_counts: vec![16],
+        deadline_ms: 1,
+        ..SubmitSpec::default()
+    };
+    let id = spec.submission_id().unwrap();
+    let reply = client.request(&Request::Submit(spec.encode())).unwrap();
+    assert_eq!(reply, format!("ok {id} queued"));
+    let done = client.watch(&id, |_| {}).unwrap();
+    assert_eq!(done, format!("done {id} completed ok=0 failed=2"));
+
+    assert_eq!(client.request(&Request::Drain).unwrap(), "ok draining");
+    server.join().expect("serve thread").expect("clean exit");
+    let store = Warehouse::open(&config.store).expect("warehouse is readable");
+    let out = store.query("kind=failed show failure").unwrap();
+    assert_eq!(out.rows.len(), 2);
+    for row in &out.rows {
+        let failure = row[0].to_string();
+        assert!(failure.starts_with("deadline after"), "got: {failure}");
+    }
+    std::fs::remove_dir_all(&root).ok();
+}

@@ -11,7 +11,7 @@
 //! indexed by its job, so the output is ordered by job index and
 //! **identical for every worker-pool size**.
 //!
-//! Three execution modes share that machinery:
+//! Two execution modes share that machinery:
 //!
 //! * [`ExperimentEngine::run`] — fail fast. The first panicking job stops
 //!   the pool and the *original* panic payload is re-raised on the caller's
@@ -24,15 +24,30 @@
 //!   `Result<T, JobFailure>`, so one poisoned scenario becomes a failure
 //!   record while every other job still completes. The scenario executor
 //!   runs its group and solo passes this way.
-//! * [`ExperimentEngine::run_supervised_detached`] — quarantine with
-//!   per-attempt deadlines, for the experiment service, whose attempts must
-//!   be abandonable.
+//!
+//! # Deadlines
+//!
+//! A policy's per-attempt `deadline` is cooperative. Each attempt installs
+//! its deadline in a thread-local; the simulator's batch loops call
+//! `check_deadline` once per batch ([`crate::simulator`]) or stride
+//! ([`crate::fused`]), and an expired deadline unwinds the attempt with a
+//! private payload that the supervisor records as
+//! [`FailureCause::Deadline`]. An overrunning attempt therefore stops within
+//! one stride and frees its simulators before the next attempt starts; an
+//! attempt blocked outside those loops is not interrupted. The unwind
+//! skips the panic hook. It must not cross a held lock, which it would
+//! poison: the executor's attempt path holds none while stepping (streams
+//! are materialized before the pass, and
+//! [`SnapshotArena::take_or_capture`](crate::SnapshotArena::take_or_capture)
+//! warms outside its locks).
 
 use std::any::Any;
+use std::cell::Cell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 use rnuca_types::retry::RetryPolicy;
 
@@ -48,7 +63,8 @@ pub enum FailureCause {
     /// Every attempt panicked.
     Panic,
     /// The final attempt exceeded the policy's per-attempt wall-clock
-    /// deadline (only from [`ExperimentEngine::run_supervised_detached`]).
+    /// deadline, observed at a simulator batch boundary (see the module
+    /// docs).
     Deadline,
 }
 
@@ -132,6 +148,26 @@ fn payload_message(payload: &(dyn Any + Send)) -> String {
 /// cause with a poisoned-lock `expect`.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+thread_local! {
+    /// When the attempt running on this thread must stop (`None`: never).
+    static DEADLINE: Cell<Option<Instant>> = const { Cell::new(None) };
+}
+
+/// The payload an attempt unwinds with once its deadline has passed.
+struct DeadlineExpired;
+
+/// Stops the attempt running on this thread if its policy deadline has
+/// passed, by unwinding to the engine's supervisor (without running the
+/// panic hook). Outside a deadline-bound attempt this is one thread-local
+/// read. Callers must hold no lock, or the unwind would poison it.
+pub(crate) fn check_deadline() {
+    if let Some(at) = DEADLINE.with(Cell::get) {
+        if Instant::now() >= at {
+            std::panic::resume_unwind(Box::new(DeadlineExpired));
+        }
+    }
 }
 
 impl ExperimentEngine {
@@ -222,10 +258,9 @@ impl ExperimentEngine {
     /// between attempts of job `i` the claiming worker sleeps the policy's
     /// seeded-jitter backoff `delay(seed, i, attempt)` — a pure function of
     /// its arguments, so the pause schedule (like the results) is identical
-    /// for every worker count. The policy's `deadline` is **not** enforced
-    /// here: borrowed jobs cannot be abandoned mid-attempt; use
-    /// [`ExperimentEngine::run_supervised_detached`] when attempts must be
-    /// bounded in wall-clock time.
+    /// for every worker count. The policy's `deadline` bounds each attempt:
+    /// an attempt still running at a `check_deadline` call past it fails
+    /// with [`FailureCause::Deadline`] (see the module docs).
     pub fn run_supervised_policy<J, T, F>(
         &self,
         jobs: &[J],
@@ -243,12 +278,24 @@ impl ExperimentEngine {
             .enumerate()
             .map(|(job, slot)| match slot {
                 Some(Ok(result)) => Ok(result),
-                Some(Err(failure)) => Err(JobFailure {
-                    job,
-                    attempts: failure.attempts,
-                    cause: FailureCause::Panic,
-                    message: payload_message(failure.payload.as_ref()),
-                }),
+                Some(Err(failure)) => {
+                    let (cause, message) = match policy.deadline {
+                        Some(deadline) if failure.payload.is::<DeadlineExpired>() => (
+                            FailureCause::Deadline,
+                            format!("attempt exceeded the {deadline:?} deadline (abandoned)"),
+                        ),
+                        _ => (
+                            FailureCause::Panic,
+                            payload_message(failure.payload.as_ref()),
+                        ),
+                    };
+                    Err(JobFailure {
+                        job,
+                        attempts: failure.attempts,
+                        cause,
+                        message,
+                    })
+                }
                 None => unreachable!("supervised run claims every job"),
             })
             .collect()
@@ -256,7 +303,8 @@ impl ExperimentEngine {
 
     /// The shared pool: workers claim job indices from an atomic counter
     /// and store each job's outcome in its slot, pausing the policy's
-    /// seeded backoff between attempts. With `stop_on_failure`, a failed
+    /// seeded backoff between attempts and bounding each attempt by the
+    /// policy's deadline. With `stop_on_failure`, a failed
     /// job stops further claims (slots after the stop stay `None`);
     /// otherwise every job is claimed regardless of failures.
     fn execute<J, T, F>(
@@ -299,7 +347,12 @@ impl ExperimentEngine {
                                 std::thread::sleep(pause);
                             }
                         }
-                        match catch_unwind(AssertUnwindSafe(|| run(i, &jobs[i]))) {
+                        let attempted = catch_unwind(AssertUnwindSafe(|| {
+                            DEADLINE.with(|d| d.set(policy.deadline.map(|d| Instant::now() + d)));
+                            run(i, &jobs[i])
+                        }));
+                        DEADLINE.with(|d| d.set(None));
+                        match attempted {
                             Ok(result) => {
                                 outcome = Some(Ok(result));
                                 break;
@@ -324,126 +377,6 @@ impl ExperimentEngine {
             .into_iter()
             .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
             .collect()
-    }
-
-    /// Supervised execution with per-attempt wall-clock deadlines and a
-    /// cooperative stop flag — the experiment service's execution mode.
-    ///
-    /// Each attempt runs on a *detached* thread that reports its outcome
-    /// over a channel; the claiming worker acts as the watchdog, waiting at
-    /// most `policy.deadline` for the report. An attempt that overruns is
-    /// abandoned (threads cannot be killed; the stray thread finishes into
-    /// a disconnected channel and its result is dropped — `run` must
-    /// therefore be side-effect-free, with journaling done by the caller
-    /// on received results only) and counts as a failed attempt with
-    /// [`FailureCause::Deadline`]. Retries pause on the policy's seeded
-    /// backoff, exactly like [`ExperimentEngine::run_supervised_policy`].
-    ///
-    /// `stop` is checked before each claim: once set, workers stop claiming
-    /// and in-flight attempts run to completion — the `drain` half of the
-    /// service protocol. Unclaimed slots come back as `None` (never
-    /// attempted), claimed ones as `Some(result)`.
-    ///
-    /// The `Arc`/`'static` bounds exist because abandoned attempt threads
-    /// may outlive this call; they keep the jobs and closure alive instead
-    /// of dangling.
-    pub fn run_supervised_detached<J, T, F>(
-        &self,
-        jobs: Arc<Vec<J>>,
-        seed: u64,
-        policy: &RetryPolicy,
-        stop: &AtomicBool,
-        run: Arc<F>,
-    ) -> Vec<Option<Result<T, JobFailure>>>
-    where
-        J: Send + Sync + 'static,
-        T: Send + 'static,
-        F: Fn(usize, &J) -> T + Send + Sync + 'static,
-    {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let attempts = policy.attempts();
-        let workers = self.workers.min(jobs.len());
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<T, JobFailure>>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    let mut outcome = None;
-                    for attempt in 1..=attempts {
-                        if attempt > 1 {
-                            let pause = policy.backoff.delay(seed, i, attempt - 1);
-                            if !pause.is_zero() {
-                                std::thread::sleep(pause);
-                            }
-                        }
-                        match self.attempt_detached(&jobs, i, policy, &run) {
-                            Ok(result) => {
-                                outcome = Some(Ok(result));
-                                break;
-                            }
-                            Err(cause_message) => {
-                                outcome = Some(Err(JobFailure {
-                                    job: i,
-                                    attempts: attempt,
-                                    cause: cause_message.0,
-                                    message: cause_message.1,
-                                }));
-                            }
-                        }
-                    }
-                    *lock(&slots[i]) = Some(outcome.expect("at least one attempt ran"));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
-            .collect()
-    }
-
-    /// One watchdogged attempt of job `i`: spawn the attempt detached,
-    /// wait at most the policy deadline for its report.
-    fn attempt_detached<J, T, F>(
-        &self,
-        jobs: &Arc<Vec<J>>,
-        i: usize,
-        policy: &RetryPolicy,
-        run: &Arc<F>,
-    ) -> Result<T, (FailureCause, String)>
-    where
-        J: Send + Sync + 'static,
-        T: Send + 'static,
-        F: Fn(usize, &J) -> T + Send + Sync + 'static,
-    {
-        let (tx, rx) = mpsc::channel();
-        let jobs = Arc::clone(jobs);
-        let run = Arc::clone(run);
-        std::thread::spawn(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| run(i, &jobs[i])));
-            // The watchdog may have given up and dropped the receiver; a
-            // failed send just discards the late result.
-            let _ = tx.send(result);
-        });
-        let report = match policy.deadline {
-            Some(deadline) => rx.recv_timeout(deadline).map_err(|_| {
-                (
-                    FailureCause::Deadline,
-                    format!("attempt exceeded the {deadline:?} deadline (abandoned)"),
-                )
-            })?,
-            None => rx.recv().expect("attempt thread always reports"),
-        };
-        report.map_err(|payload| (FailureCause::Panic, payload_message(payload.as_ref())))
     }
 }
 
@@ -667,89 +600,48 @@ mod tests {
     }
 
     #[test]
-    fn detached_run_enforces_the_deadline_and_keeps_other_jobs() {
+    fn policy_deadline_stops_the_overrunning_job_and_keeps_the_others() {
         use std::time::Duration;
 
         let jobs: Vec<u64> = (0..6).collect();
-        let policy = RetryPolicy::immediate(0).with_deadline(Duration::from_millis(50));
-        let stop = AtomicBool::new(false);
-        let out = ExperimentEngine::with_workers(3).run_supervised_detached(
-            Arc::new(jobs),
-            42,
-            &policy,
-            &stop,
-            Arc::new(|_, &j: &u64| {
+        let policy = RetryPolicy::immediate(1).with_deadline(Duration::from_millis(20));
+        let out =
+            ExperimentEngine::with_workers(3).run_supervised_policy(&jobs, 42, &policy, |_, &j| {
                 if j == 2 {
-                    // Far past the deadline; the attempt is abandoned.
-                    std::thread::sleep(Duration::from_secs(5));
+                    // Never finishes on its own: only the deadline ends it,
+                    // at the check a simulator batch loop makes.
+                    loop {
+                        check_deadline();
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
                 }
                 j + 1
-            }),
-        );
+            });
         assert_eq!(out.len(), 6);
         for (i, slot) in out.iter().enumerate() {
-            let slot = slot.as_ref().expect("every job is claimed");
             if i == 2 {
                 let failure = slot.as_ref().expect_err("job 2 must hit the deadline");
                 assert_eq!(failure.cause, FailureCause::Deadline);
-                assert_eq!(failure.attempts, 1);
-                assert!(failure.message.contains("deadline"), "{}", failure.message);
+                assert_eq!(failure.attempts, 2, "the retry hit the deadline too");
+                assert_eq!(
+                    failure.message,
+                    "attempt exceeded the 20ms deadline (abandoned)"
+                );
             } else {
                 assert_eq!(slot.as_ref().copied(), Ok(i as u64 + 1));
             }
         }
+        // The deadline belonged to the attempts; this thread has none.
+        check_deadline();
     }
 
     #[test]
-    fn detached_run_quarantines_panics_with_their_message() {
-        let jobs: Vec<u64> = (0..4).collect();
-        let stop = AtomicBool::new(false);
-        let out = ExperimentEngine::with_workers(2).run_supervised_detached(
-            Arc::new(jobs),
-            7,
-            &RetryPolicy::immediate(1),
-            &stop,
-            Arc::new(|_, &j: &u64| {
-                if j == 3 {
-                    panic!("member {j} exploded");
-                }
-                j
-            }),
-        );
-        let failure = out[3]
-            .as_ref()
-            .expect("claimed")
-            .as_ref()
-            .expect_err("job 3 must fail");
-        assert_eq!(failure.cause, FailureCause::Panic);
-        assert_eq!(failure.attempts, 2, "one retry was spent");
-        assert_eq!(failure.message, "member 3 exploded");
-    }
-
-    #[test]
-    fn detached_run_stops_claiming_once_the_stop_flag_is_set() {
-        // One worker, stop flag raised by the first job: the remaining
-        // jobs must never be claimed (their slots stay None) — the `drain`
-        // behaviour of the experiment service.
-        let jobs: Vec<u64> = (0..5).collect();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_from_job = Arc::clone(&stop);
-        let out = ExperimentEngine::with_workers(1).run_supervised_detached(
-            Arc::new(jobs),
-            0,
-            &RetryPolicy::immediate(0),
-            &stop,
-            Arc::new(move |_, &j: &u64| {
-                stop_from_job.store(true, Ordering::Release);
-                j
-            }),
-        );
-        assert_eq!(
-            out[0].as_ref().expect("first job ran").as_ref().copied(),
-            Ok(0)
-        );
-        for slot in &out[1..] {
-            assert!(slot.is_none(), "drained jobs must never be claimed");
-        }
+    fn deadline_checks_are_inert_without_a_deadline() {
+        let jobs = vec![0u32];
+        let out = ExperimentEngine::with_workers(1).run_supervised(&jobs, 0, |_, &j| {
+            check_deadline();
+            j + 1
+        });
+        assert_eq!(out, vec![Ok(1)]);
     }
 }

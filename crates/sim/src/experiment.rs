@@ -299,6 +299,7 @@ impl DesignComparison {
                 &RetryPolicy::immediate(0),
                 None,
                 None,
+                None,
             )
             .expect("the evaluation matrices have valid axes");
         sweep
@@ -437,6 +438,7 @@ mod tests {
                 traces,
                 snapshots,
                 &RetryPolicy::immediate(0),
+                None,
                 None,
                 None,
             )

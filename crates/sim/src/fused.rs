@@ -52,6 +52,7 @@
 //! order for scattering results back.
 
 use crate::design::LlcDesign;
+use crate::engine::check_deadline;
 use crate::experiment::ExperimentConfig;
 use crate::simulator::{CmpSimulator, MeasuredRun, TRACE_BATCH};
 use crate::snapshot::{SimSnapshot, SnapshotArena, SnapshotKey};
@@ -95,10 +96,12 @@ impl FusedDriver {
     /// The chunk boundaries each simulator observes are exactly the batch
     /// boundaries of `CmpSimulator::drive` (`remaining.min(TRACE_BATCH)`
     /// repeatedly), so per-design results are bit-identical to driving each
-    /// simulator over its own cursor.
+    /// simulator over its own cursor. Each stride first checks the running
+    /// attempt's deadline (see [`crate::engine`]).
     pub fn drive(&mut self, sims: &mut [CmpSimulator], src: &mut impl TraceSource, n: usize) {
         let mut remaining = n;
         while remaining > 0 {
+            check_deadline();
             let stride = remaining.min(FUSE_STRIDE_BATCHES * TRACE_BATCH);
             src.fill_into(stride, &mut self.stride);
             for sim in sims.iter_mut() {

@@ -62,8 +62,8 @@ pub use journal::{
 };
 pub use report::TextTable;
 pub use scenario::{
-    replay_results, result_from, sweep_record, sweep_records, QuarantinedSweep, ResumeSummary,
-    ScenarioJob, ScenarioMatrix, ScenarioResult, SweepError, SWEEP_SCHEMA_VERSION,
+    result_from, sweep_record, QuarantinedSweep, ResumeSummary, ScenarioJob, ScenarioMatrix,
+    ScenarioResult, SweepControl, SweepError, SWEEP_SCHEMA_VERSION,
 };
 pub use simulator::{CmpSimulator, MeasuredRun};
 pub use snapshot::{SimSnapshot, SnapshotArena, SnapshotKey, WarmupClass};

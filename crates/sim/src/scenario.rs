@@ -15,10 +15,9 @@
 //! benchmark all go through it. Its stages:
 //!
 //! 1. replay the journal, when given one, into results and pending jobs;
-//! 2. materialize the pending jobs' reference streams
-//!    ([`ScenarioMatrix::prepare_streams`]);
+//! 2. materialize the pending jobs' reference streams;
 //! 3. run one supervised pass of fused groups, the jobs sharing a stream
-//!    (see [`crate::fused`]);
+//!    (see [`crate::fused`]), each attempt bounded by the policy deadline;
 //! 4. re-run the members of failed groups solo under the caller's
 //!    [`RetryPolicy`], quarantining a job only when every attempt fails;
 //! 5. journal each group or solo job as it lands, and each quarantined
@@ -30,8 +29,10 @@
 //! supervision: a journal I/O error aborts the sweep with
 //! [`SweepError::Journal`], a panic inside an append (a simulated crash)
 //! propagates to the caller, and neither is ever quarantined or retried.
-//! `RetryPolicy::immediate(0)` with no journal and no store is the plain
-//! run.
+//! A caller's stop flag ends the sweep between groups with
+//! [`SweepError::Stopped`]: the experiment service drains and cancels
+//! submissions this way. `RetryPolicy::immediate(0)` with no journal, no
+//! store and no stop flag is the plain run.
 //!
 //! Results come back in job order and are identical for every worker
 //! count, ready for tables or the JSON emitted by
@@ -137,6 +138,9 @@ pub enum SweepError {
     /// The journal could not be created, loaded, matched to the matrix, or
     /// appended to.
     Journal(JournalError),
+    /// The caller's stop flag was raised; every group that landed is
+    /// journaled, and the rest can resume from the journal.
+    Stopped,
 }
 
 impl fmt::Display for SweepError {
@@ -144,6 +148,7 @@ impl fmt::Display for SweepError {
         match self {
             SweepError::Config(e) => write!(f, "{e}"),
             SweepError::Journal(e) => write!(f, "{e}"),
+            SweepError::Stopped => f.write_str("sweep stopped"),
         }
     }
 }
@@ -153,6 +158,7 @@ impl std::error::Error for SweepError {
         match self {
             SweepError::Config(e) => Some(e),
             SweepError::Journal(e) => Some(e),
+            SweepError::Stopped => None,
         }
     }
 }
@@ -168,6 +174,15 @@ impl From<JournalError> for SweepError {
         SweepError::Journal(e)
     }
 }
+
+/// A caller's hold on a running [`ScenarioMatrix::run`]: a stop flag,
+/// checked before each fused group or solo job is claimed, and a progress
+/// report `(done_groups, total_groups)`, called on the calling thread.
+pub type SweepControl<'a> = (&'a AtomicBool, &'a dyn Fn(usize, usize));
+
+/// One group's outcome in a supervised pass: its members' runs, `None`
+/// when a stop skipped it, or the failure that poisoned it.
+type GroupOutcome = Result<Option<Vec<MeasuredRun>>, JobFailure>;
 
 /// How much of a journaled sweep was replayed versus re-run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -321,9 +336,9 @@ impl ScenarioMatrix {
     /// `policy` governs the solo re-runs of members of failed groups: its
     /// retry budget and seeded backoff (the pause schedule derives from the
     /// matrix seed, so it is identical for every worker count). Its
-    /// `deadline` is not enforced here, because borrowed jobs cannot be
-    /// abandoned mid-attempt; the experiment service enforces deadlines
-    /// with [`ExperimentEngine::run_supervised_detached`].
+    /// `deadline` bounds every attempt of both passes: a group or solo job
+    /// still stepping when it expires stops at its next batch and fails
+    /// with [`crate::FailureCause::Deadline`].
     ///
     /// With `journal = Some((path, resume))` every landed job is journaled
     /// to `path`, which is created fresh or, with `resume`, continued:
@@ -336,6 +351,12 @@ impl ScenarioMatrix {
     /// for a quarantined job. Rows dedup by key, so re-running a matrix
     /// into the same store adds zero rows.
     ///
+    /// With `control = Some((stop, progress))` the sweep can be stopped
+    /// and followed: `stop` is checked before each group or solo job is
+    /// claimed, and `progress(done_groups, total_groups)` is called on the
+    /// calling thread when the group pass starts and as each fused group
+    /// lands (groups that failed count as done when the pass ends).
+    ///
     /// Returns every job's outcome in job order, what was replayed versus
     /// run, and the warehouse append (`None` without a store).
     ///
@@ -344,12 +365,16 @@ impl ScenarioMatrix {
     /// [`SweepError::Config`] for an invalid matrix; [`SweepError::Journal`]
     /// when the journal cannot be created, resumed, or appended to, or
     /// records a different sweep. A journal fault aborts the sweep; it
-    /// never quarantines a job.
+    /// never quarantines a job. [`SweepError::Stopped`] once `stop` was
+    /// raised, after the in-flight groups have landed and been journaled;
+    /// nothing reaches the store.
     ///
     /// # Panics
     ///
     /// Propagates a panic raised inside a journal append (the injected
     /// crash points of [`SweepJournal::append`]).
+    // One parameter per input of the executor; every caller passes all.
+    #[allow(clippy::too_many_arguments)]
     pub fn run(
         &self,
         engine: &ExperimentEngine,
@@ -358,6 +383,7 @@ impl ScenarioMatrix {
         policy: &RetryPolicy,
         journal: Option<(&Path, bool)>,
         store: Option<&Warehouse>,
+        control: Option<SweepControl<'_>>,
     ) -> Result<(QuarantinedSweep, ResumeSummary, Option<AppendSummary>), SweepError> {
         let jobs = self.jobs()?;
         let (journal, entries) = match journal {
@@ -373,6 +399,12 @@ impl ScenarioMatrix {
             replayed: jobs.len() - pending.len(),
             ran: pending.len(),
         };
+        let unset = AtomicBool::new(false);
+        let (stop, progress) = control.unwrap_or((&unset, &|_, _| {}));
+        let stopped = || stop.load(Ordering::Acquire);
+        if stopped() {
+            return Err(SweepError::Stopped);
+        }
 
         self.prepare_streams(engine, traces, &jobs, &pending);
         let groups: Vec<Vec<usize>> = group_indices(&pending, |&i| {
@@ -381,7 +413,7 @@ impl ScenarioMatrix {
         .into_iter()
         .map(|(_, members)| members.into_iter().map(|p| pending[p]).collect())
         .collect();
-        let pass = |groups: &[Vec<usize>], policy: &RetryPolicy| {
+        let pass = |groups: &[Vec<usize>], policy: &RetryPolicy, landed: &dyn Fn(usize)| {
             self.supervised_pass(
                 engine,
                 traces,
@@ -390,19 +422,31 @@ impl ScenarioMatrix {
                 groups,
                 policy,
                 journal.as_ref(),
+                stop,
+                landed,
             )
         };
+        // One attempt per group (a failed group's members spend the retry
+        // budget solo), under the same deadline.
+        let group_policy = RetryPolicy {
+            deadline: policy.deadline,
+            ..RetryPolicy::immediate(0)
+        };
+        let total = groups.len();
+        progress(0, total);
         let mut solo: Vec<Vec<usize>> = Vec::new();
         for (members, outcome) in groups
             .iter()
-            .zip(pass(&groups, &RetryPolicy::immediate(0))?)
+            .zip(pass(&groups, &group_policy, &|done| progress(done, total))?)
         {
             match outcome {
-                Ok(runs) => {
+                Ok(Some(runs)) => {
                     for (&i, run) in members.iter().zip(runs) {
                         results[i] = Some(Ok(result_from(&jobs[i], run)));
                     }
                 }
+                // Skipped after a stop.
+                Ok(None) => {}
                 // The panic poisoned the whole fused pass (and nothing was
                 // journaled for it). Fusion is architecturally invisible,
                 // so each member re-runs solo to its bit-identical result,
@@ -410,10 +454,17 @@ impl ScenarioMatrix {
                 Err(_) => solo.extend(members.iter().map(|&i| vec![i])),
             }
         }
-        for (members, outcome) in solo.iter().zip(pass(&solo, policy)?) {
+        if stopped() {
+            return Err(SweepError::Stopped);
+        }
+        if !solo.is_empty() {
+            progress(total, total);
+        }
+        for (members, outcome) in solo.iter().zip(pass(&solo, policy, &|_| {})?) {
             let i = members[0];
-            results[i] = Some(match outcome {
-                Ok(runs) => Ok(result_from(&jobs[i], runs[0])),
+            match outcome {
+                Ok(Some(runs)) => results[i] = Some(Ok(result_from(&jobs[i], runs[0]))),
+                Ok(None) => {}
                 Err(failure) => {
                     let failure = JobFailure { job: i, ..failure };
                     if let Some(journal) = &journal {
@@ -421,9 +472,12 @@ impl ScenarioMatrix {
                             .append_failure(i, &(&failure).into())
                             .map_err(JournalError::Io)?;
                     }
-                    Err(failure)
+                    results[i] = Some(Err(failure));
                 }
-            });
+            }
+        }
+        if stopped() {
+            return Err(SweepError::Stopped);
         }
 
         let sweep = QuarantinedSweep {
@@ -464,17 +518,20 @@ impl ScenarioMatrix {
             policy,
             Some((path, resume)),
             Some(store),
+            None,
         )?;
         Ok((sweep, appended.expect("a store was given"), resumed))
     }
 
     /// One supervised pass over `groups` (job indices sharing a stream):
-    /// each group runs as one fused pass, attempted under `policy`.
+    /// each group runs as one fused pass, attempted under `policy`. A group
+    /// skipped because `stop` was raised comes back as `Ok(None)`.
     ///
-    /// The engine runs on a scoped thread; this thread owns the journal and
+    /// The engine runs on a scoped thread; this thread owns the journal,
     /// appends each group's runs as the group lands, outside the engine's
-    /// panic supervision. After a journal fault the pass stops claiming
-    /// groups: an I/O error returns [`JournalError::Io`], a panic unwinds.
+    /// panic supervision, and then reports the count landed so far to
+    /// `landed`. After a journal fault the pass stops claiming groups: an
+    /// I/O error returns [`JournalError::Io`], a panic unwinds.
     // One parameter per input of a pass; they are the executor's locals.
     #[allow(clippy::too_many_arguments)]
     fn supervised_pass(
@@ -486,14 +543,16 @@ impl ScenarioMatrix {
         groups: &[Vec<usize>],
         policy: &RetryPolicy,
         journal: Option<&SweepJournal>,
-    ) -> Result<Vec<Result<Vec<MeasuredRun>, JobFailure>>, JournalError> {
+        stop: &AtomicBool,
+        landed: &dyn Fn(usize),
+    ) -> Result<Vec<GroupOutcome>, JournalError> {
         let closed = AtomicBool::new(false);
         let closed = &closed;
-        let (landed, inbox) = mpsc::channel::<(usize, Vec<MeasuredRun>)>();
-        let outcomes = std::thread::scope(|scope| {
+        let (sender, inbox) = mpsc::channel::<(usize, Vec<MeasuredRun>)>();
+        std::thread::scope(|scope| {
             let pass = scope.spawn(move || {
                 engine.run_supervised_policy(groups, self.cfg.seed, policy, |g, members| {
-                    if closed.load(Ordering::Acquire) {
+                    if closed.load(Ordering::Acquire) || stop.load(Ordering::Acquire) {
                         return None;
                     }
                     let pairs: Vec<(&WorkloadSpec, LlcDesign)> = members
@@ -502,30 +561,25 @@ impl ScenarioMatrix {
                         .collect();
                     let runs = run_group_forked(&pairs, &self.cfg, traces, snapshots);
                     // The inbox closes only when journaling failed.
-                    if landed.send((g, runs.clone())).is_err() {
+                    if sender.send((g, runs.clone())).is_err() {
                         closed.store(true, Ordering::Release);
                     }
                     Some(runs)
                 })
             });
-            if let Some(journal) = journal {
-                for (g, runs) in inbox {
+            for (done, (g, runs)) in inbox.iter().enumerate() {
+                if let Some(journal) = journal {
                     for (&i, run) in groups[g].iter().zip(&runs) {
                         journal.append(i, run)?;
                     }
                 }
+                landed(done + 1);
             }
             Ok(pass
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
         })
-        .map_err(JournalError::Io)?;
-        Ok(outcomes
-            .into_iter()
-            .map(|o| {
-                o.map(|runs| runs.expect("only a pass closed by a journal fault skips groups"))
-            })
-            .collect())
+        .map_err(JournalError::Io)
     }
 
     /// Materializes the reference streams the jobs in `pending` need, each
@@ -533,10 +587,9 @@ impl ScenarioMatrix {
     ///
     /// Checkpoints are not pre-warmed: each fused group warms its own (see
     /// [`crate::fused::GroupForks`]), so a sweep holds only the warmed state
-    /// of the groups currently running. Public so external drivers (the
-    /// experiment service's runner) can materialize streams up front and
-    /// then orchestrate group execution themselves.
-    pub fn prepare_streams(
+    /// of the groups currently running. Streams are complete before any
+    /// attempt starts, so no attempt generates one under the arena's lock.
+    fn prepare_streams(
         &self,
         engine: &ExperimentEngine,
         arena: &TraceArena,
@@ -557,9 +610,8 @@ impl ScenarioMatrix {
 
 /// Labels one job's measured run with its resolved configuration.
 ///
-/// Public so code outside the executor (the experiment service's
-/// runner, the benchmark's traced path) can turn runs into the results it
-/// produces.
+/// Public so the benchmark's traced path can turn runs into the results
+/// the executor produces.
 pub fn result_from(job: &ScenarioJob, run: MeasuredRun) -> ScenarioResult {
     let system = job.workload.system_config();
     ScenarioResult {
@@ -576,7 +628,7 @@ pub fn result_from(job: &ScenarioJob, run: MeasuredRun) -> ScenarioResult {
 /// become results, quarantined ones stay quarantined (a resume never
 /// re-crashes on them), and the jobs without an entry come back as the
 /// pending list, in job order.
-pub fn replay_results(
+fn replay_results(
     jobs: &[ScenarioJob],
     entries: Vec<Option<JournalEntry>>,
 ) -> (Vec<Option<Result<ScenarioResult, JobFailure>>>, Vec<usize>) {
@@ -600,7 +652,7 @@ pub fn replay_results(
 /// result and a `kind=failed` row (failure text in the `failure` column)
 /// for each quarantined job, so `figures query kind=failed` lists exactly
 /// what a sweep lost.
-pub fn sweep_records(
+fn sweep_records(
     cfg: &ExperimentConfig,
     jobs: &[ScenarioJob],
     results: &[Result<ScenarioResult, JobFailure>],
@@ -800,6 +852,7 @@ mod tests {
             &RetryPolicy::immediate(0),
             None,
             None,
+            None,
         ))
     }
 
@@ -821,6 +874,7 @@ mod tests {
                 &RetryPolicy::immediate(0),
                 None,
                 Some(store),
+                None,
             )
             .expect("the matrix is valid");
         (sweep, appended.expect("a store was given"))
@@ -867,6 +921,7 @@ mod tests {
             &RetryPolicy::immediate(0),
             None,
             None,
+            None,
         );
         assert!(matches!(run, Err(SweepError::Config(_))));
     }
@@ -899,6 +954,7 @@ mod tests {
             &arena,
             &SnapshotArena::new(),
             &RetryPolicy::immediate(0),
+            None,
             None,
             None,
         ));
@@ -934,6 +990,7 @@ mod tests {
             &traces,
             &snapshots,
             &RetryPolicy::immediate(0),
+            None,
             None,
             None,
         ));
@@ -991,6 +1048,7 @@ mod tests {
             &RetryPolicy::immediate(0),
             None,
             None,
+            None,
         ));
         assert_eq!(snapshots.len(), 0, "the plain run retains no checkpoint");
         assert_eq!(snapshots.warmups(), unique.len(), "one warm-up per key");
@@ -1006,6 +1064,7 @@ mod tests {
             &snapshots,
             &RetryPolicy::immediate(0),
             Some((&path, false)),
+            None,
             None,
         ));
         std::fs::remove_file(&path).unwrap();
@@ -1104,5 +1163,94 @@ mod tests {
         // The R-NUCA row records its cluster size; shared rows are null.
         let clusters: Vec<String> = out.rows.iter().map(|r| r[1].to_string()).collect();
         assert_eq!(clusters, ["4", "-"]);
+    }
+
+    #[test]
+    fn a_stop_from_the_first_progress_report_leaves_a_resumable_journal() {
+        // Four streams (two workloads x two core counts) of two jobs each,
+        // on one worker: the stop is raised while groups are left to claim.
+        let mut m = tiny_matrix();
+        m.workloads = vec![WorkloadSpec::oltp_db2(), WorkloadSpec::em3d()];
+        m.core_counts = vec![16, 32];
+        let path = std::env::temp_dir().join(format!(
+            "rnuca-scenario-{}-stop.journal",
+            std::process::id()
+        ));
+        std::fs::remove_file(&path).ok();
+        let stop = AtomicBool::new(false);
+        let reports = std::cell::RefCell::new(Vec::new());
+        let progress = |done: usize, total: usize| {
+            reports.borrow_mut().push((done, total));
+            if done == 1 {
+                stop.store(true, Ordering::Release);
+            }
+        };
+        let run = m.run(
+            &ExperimentEngine::with_workers(1),
+            &TraceArena::new(),
+            &SnapshotArena::new(),
+            &RetryPolicy::immediate(0),
+            Some((&path, false)),
+            None,
+            Some((&stop, &progress)),
+        );
+        assert!(matches!(run, Err(SweepError::Stopped)), "got {run:?}");
+        let reports = reports.into_inner();
+        assert_eq!(reports[0], (0, 4), "the pass announces its groups");
+        // Groups already claimed when the stop was raised still land.
+        let landed = reports.last().expect("a group landed").0;
+        assert!(landed >= 1);
+
+        // The journal holds exactly the landed groups' jobs ...
+        let replay = crate::journal::JournalReplay::load(&path).expect("journal");
+        assert_eq!(replay.completed(), 2 * landed);
+        // ... and resuming from it completes the uninterrupted sweep.
+        let (resumed, summary, _) = m
+            .run(
+                &ExperimentEngine::with_workers(2),
+                &TraceArena::new(),
+                &SnapshotArena::new(),
+                &RetryPolicy::immediate(0),
+                Some((&path, true)),
+                None,
+                None,
+            )
+            .expect("the journal resumes");
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(summary.replayed, 2 * landed);
+        assert_eq!(resumed, plain(&m, 2));
+    }
+
+    #[test]
+    fn a_deadline_stops_every_attempt_of_a_long_warm_up() {
+        use crate::engine::FailureCause;
+        use std::time::Duration;
+
+        let mut m = tiny_matrix();
+        m.cfg.warmup_refs = 200_000;
+        let retries = 1;
+        let policy = RetryPolicy::immediate(retries).with_deadline(Duration::from_millis(1));
+        let snapshots = SnapshotArena::new();
+        let (sweep, _, _) = m
+            .run(
+                &ExperimentEngine::with_workers(2),
+                &TraceArena::new(),
+                &snapshots,
+                &policy,
+                None,
+                None,
+                None,
+            )
+            .expect("the matrix is valid");
+        assert_eq!(sweep.completed(), 0);
+        assert_eq!(sweep.failures().len(), 2);
+        for failure in sweep.failures() {
+            assert_eq!(failure.cause, FailureCause::Deadline);
+            assert_eq!(failure.attempts, 1 + retries);
+            assert!(failure.message.contains("1ms deadline"), "{failure}");
+        }
+        // Every attempt stopped part way: no warm-up ran to its end.
+        assert_eq!(snapshots.warmups(), 0);
+        assert!(snapshots.is_empty());
     }
 }

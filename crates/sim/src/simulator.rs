@@ -11,6 +11,7 @@
 
 use crate::cpi::{CpiComponent, DetailedCpi};
 use crate::design::{AsrPolicy, LlcDesign};
+use crate::engine::check_deadline;
 use crate::tile::{BlockMeta, Tile, TileAccess};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -385,11 +386,13 @@ impl CmpSimulator {
     /// windows, so the run loop performs no per-access (or even per-batch)
     /// allocation. The access sequence is identical to taking `n` single
     /// references from `src` — the source does not depend on simulator
-    /// state.
+    /// state. Each batch first checks the running attempt's deadline (see
+    /// [`crate::engine`]), so an overrunning attempt stops here.
     fn drive(&mut self, src: &mut impl TraceSource, n: usize) {
         let mut buf = std::mem::take(&mut self.trace_buf);
         let mut remaining = n;
         while remaining > 0 {
+            check_deadline();
             let batch = remaining.min(TRACE_BATCH);
             src.fill_into(batch, &mut buf);
             self.step_batch(&buf);

@@ -61,7 +61,7 @@ fn run(
     journal: Option<(&Path, bool)>,
     store: Option<&Warehouse>,
 ) -> Result<Outcome, SweepError> {
-    m.run(engine, &arenas.0, &arenas.1, policy, journal, store)
+    m.run(engine, &arenas.0, &arenas.1, policy, journal, store, None)
 }
 
 #[test]

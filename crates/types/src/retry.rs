@@ -15,9 +15,10 @@
 //!
 //! [`RetryPolicy`] bundles the retry budget, the backoff, and an optional
 //! per-attempt wall-clock deadline. The deadline is enforced by the
-//! engine's watchdog (see `ExperimentEngine::run_supervised_detached` in
-//! `rnuca-sim`): an attempt that exceeds it is abandoned and counted as a
-//! failed attempt, exactly like a panic.
+//! experiment engine in `rnuca-sim` (`ExperimentEngine::run_supervised_policy`):
+//! the simulator checks it once per reference batch, and an attempt that
+//! exceeds it stops there and counts as a failed attempt, exactly like a
+//! panic.
 
 use std::time::Duration;
 
@@ -89,7 +90,7 @@ pub struct RetryPolicy {
     pub retries: u32,
     /// Pause schedule between attempts.
     pub backoff: BackoffConfig,
-    /// Wall-clock budget for one attempt. `None` disables the watchdog.
+    /// Wall-clock budget for one attempt. `None` leaves attempts unbounded.
     pub deadline: Option<Duration>,
 }
 
@@ -101,6 +102,17 @@ impl RetryPolicy {
             retries,
             backoff: BackoffConfig::none(),
             deadline: None,
+        }
+    }
+
+    /// The policy of a sweep run from the command line or the experiment
+    /// service: `retries` extra attempts paced by the service backoff, and
+    /// a per-attempt deadline of `deadline_ms` milliseconds (0: none).
+    pub fn service(retries: u32, deadline_ms: u64) -> Self {
+        let policy = RetryPolicy::immediate(retries).with_backoff(BackoffConfig::default_service());
+        match deadline_ms {
+            0 => policy,
+            ms => policy.with_deadline(Duration::from_millis(ms)),
         }
     }
 
@@ -198,6 +210,18 @@ mod tests {
         }
         assert_eq!(RetryPolicy::immediate(3).backoff, BackoffConfig::none());
         assert_eq!(RetryPolicy::immediate(3).attempts(), 4);
+    }
+
+    #[test]
+    fn service_policy_reads_zero_as_no_deadline() {
+        let unbounded = RetryPolicy::service(2, 0);
+        assert_eq!(unbounded.retries, 2);
+        assert_eq!(unbounded.backoff, BackoffConfig::default_service());
+        assert_eq!(unbounded.deadline, None);
+        assert_eq!(
+            RetryPolicy::service(2, 250).deadline,
+            Some(Duration::from_millis(250))
+        );
         assert_eq!(RetryPolicy::default().attempts(), 1);
     }
 

@@ -39,6 +39,7 @@ fn scenario_sweep_json_is_byte_identical_across_worker_pools() {
                     &RetryPolicy::immediate(0),
                     None,
                     None,
+                    None,
                 )
                 .expect("matrix axes are valid");
             sweep.to_json()
